@@ -19,7 +19,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +32,7 @@ from .evaluation import (MetricSpec, bench_batch, cn_equivalence_sweep,
                          orthogonality_stats, verify_cn_equivalence)
 from .graph import EdgeSplit, Graph, load_graph, random_split
 from .heuristics import heuristic_eval, structure_feature_report
-from .model import GAEModel, MessageOperators, build_input, orthogonal_rows
+from .model import GAEModel, orthogonal_rows
 from .synth import parse_synth_spec
 from .train import fit
 
@@ -208,12 +207,7 @@ def cmd_sweep(args) -> int:
     results = run_variant_grid(g, cfg, variants, seeds)
     out = _out_dir(args.out_dir, args.dataset, cfg)
     path = out / f"sweep-{args.axis}.csv"
-    header = ["value"] + [f"seed{s}" for s in seeds] + ["mean", "std"]
-    lines = [",".join(header)]
-    for name, vals in results.items():
-        lines.append(",".join([name] + [repr(v) for v in vals]
-                              + [repr(float(np.mean(vals))), repr(float(np.std(vals)))]))
-    path.write_text("\n".join(lines) + "\n")
+    _write_grid_csv(path, "value", results, seeds)
     for name, vals in results.items():
         print(f"{args.axis}={name}: {np.mean(vals):.4f} +- {np.std(vals):.4f}")
     print(f"-> {path}")
@@ -317,10 +311,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, dataset=True):
-        if dataset:
-            p.add_argument("--dataset", required=True,
-                           help="preset name, edge-file path, or synth[:k=v,...]")
+    def common(p):
+        p.add_argument("--dataset", required=True,
+                       help="preset name, edge-file path, or synth[:k=v,...]")
         p.add_argument("--data-dir", default="data")
         p.add_argument("--out-dir", default="runs")
         p.add_argument("--seed", type=int, default=0)

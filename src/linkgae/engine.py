@@ -51,9 +51,6 @@ class Tensor:
             raise ValueError(f"item() needs a scalar tensor, got shape {self.shape}")
         return float(self.value[0, 0])
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         tag = self.name or ("param" if self.param else "tensor")
         return f"Tensor({tag}, shape={self.shape}, dtype={self.dtype})"

@@ -11,9 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import Tape
+from .config import ModelConfig
+from .engine import Tape, finite_difference_check
 from .graph import Graph, normalize
-from .model import Encoder, EncoderConfig, MessageOperators, build_input
+from .model import Encoder, GAEModel, MessageOperators, build_input
 
 
 def hits_at_k(pos_scores: np.ndarray, neg_scores: np.ndarray, k: int) -> float:
@@ -55,19 +56,18 @@ def mrr(pos_scores: np.ndarray, neg_scores: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class MetricSpec:
-    """Which ranking metric to compute and how negatives are organized."""
+    """Which ranking metric to compute; negative score shape picks the MRR pool."""
 
     kind: str  # "hits" | "mrr"
     k: int | None = None
-    negative_mode: str = "global"  # "global" | "per-source"
 
     @classmethod
     def parse(cls, name: str) -> "MetricSpec":
         name = name.lower().strip()
         if name == "mrr":
-            return cls("mrr", None, "per-source")
+            return cls("mrr")
         if name.startswith("hits@"):
-            return cls("hits", int(name.split("@", 1)[1]), "global")
+            return cls("hits", int(name.split("@", 1)[1]))
         raise ValueError(f"unknown metric {name!r} (use 'hits@K' or 'mrr')")
 
     def evaluate(self, pos_scores: np.ndarray, neg_scores: np.ndarray) -> float:
@@ -126,9 +126,8 @@ def verify_cn_equivalence(g: Graph, k: int, d: int | None = None,
         raise ValueError(f"exact orthonormal inputs need d >= num_nodes ({n})")
     rng = np.random.default_rng(seed)
     rep = build_input(g, "fixed-orthogonal", d, rng, dtype=np.float64)
-    enc = Encoder(EncoderConfig(conv="gcn", num_layers=k, hidden_dim=d,
-                                linear=True, initial_residual=False), rng,
-                  dtype=np.float64)
+    enc = Encoder(ModelConfig(conv="gcn", mpnn_layers=k, hidden_dim=d,
+                              encoder_residual=False), rng, dtype=np.float64)
     enc.set_identity_weights()
     ops = MessageOperators.build(g, "gcn")
     tape = Tape(record=False)
@@ -162,8 +161,6 @@ def model_gradient_check(conv: str = "gcn", seed: int = 0, n: int = 12,
     dropout, output normalization) on a random graph and compares analytic
     gradients against central differences, returning the max relative error.
     """
-    from .config import ModelConfig
-    from .model import GAEModel
     from .train import bce_loss
 
     rng = np.random.default_rng(seed)
@@ -183,38 +180,14 @@ def model_gradient_check(conv: str = "gcn", seed: int = 0, n: int = 12,
     neg = np.stack([neg_rng.integers(0, n, 18), neg_rng.integers(0, n, 18)], axis=1)
     neg = neg[neg[:, 0] != neg[:, 1]]
 
-    def forward(tape: Tape):
+    def loss(tape: Tape, *_params):
         drop_rng = np.random.default_rng(55)  # same masks on every evaluation
         z = model.encode(tape, ops)
         lp = model.decode(tape, z, pos, train=True, rng=drop_rng)
         ln = model.decode(tape, z, neg, train=True, rng=drop_rng)
         return bce_loss(tape, lp, ln)
 
-    params = model.params()
-    for p in params:
-        p.grad = None
-    tape = Tape()
-    loss = forward(tape)
-    tape.backward(loss)
-    analytic = [p.grad.copy() if p.grad is not None else np.zeros_like(p.value)
-                for p in params]
-
-    worst = 0.0
-    for p, an in zip(params, analytic):
-        flat = p.value.reshape(-1)
-        fd = np.zeros_like(flat)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            fp = forward(Tape(record=False)).item()
-            flat[i] = orig - h
-            fm = forward(Tape(record=False)).item()
-            flat[i] = orig
-            fd[i] = (fp - fm) / (2.0 * h)
-        fd = fd.reshape(p.value.shape)
-        denom = np.maximum(np.maximum(np.abs(an), np.abs(fd)), 1e-4)
-        worst = max(worst, float(np.max(np.abs(an - fd) / denom)))
-    return worst
+    return finite_difference_check(model.params(), loss, h=h)
 
 
 def bench_batch(model, split, cfg, batch_size: int | None = None,

@@ -7,7 +7,7 @@ This module provides:
   feature file
 - normalize: the symmetrically normalized adjacency with self-loops
 - mean_adjacency / plain_adjacency: row-normalized and raw 0/1 operators
-- spmm: deterministic sparse @ dense product
+- SparseOperator: a fixed sparse matrix with deterministic dense products
 - random_split / sample_negatives: edge splits and uniform non-edge
   sampling, plus a JSON split cache
 """
@@ -110,13 +110,16 @@ class Graph:
         n = self.num_nodes
         assert self.indptr.shape == (n + 1,) and self.indptr[0] == 0
         assert self.indptr[-1] == len(self.indices)
-        for u in range(n):
-            row = self.neighbors(u)
-            assert np.all(np.diff(row) > 0), f"row {u} not strictly sorted"
-            assert u not in row, f"self-loop at {u}"
-            for v in row:
-                assert u in self.neighbors(v), f"asymmetric edge ({u},{v})"
-        assert np.all(self.degrees == np.diff(self.indptr))
+        assert np.all(self.degrees >= 0), "indptr not monotone"
+        rows = np.repeat(np.arange(n, dtype=np.int64), self.degrees)
+        cols = np.asarray(self.indices, dtype=np.int64)
+        assert cols.size == 0 or (cols.min() >= 0 and cols.max() < n), "column out of range"
+        codes = rows * n + cols  # strictly increasing iff every row is strictly sorted
+        unsorted = np.diff(codes) <= 0
+        assert not unsorted.any(), f"row {rows[1:][unsorted][0]} not strictly sorted"
+        loops = rows == cols
+        assert not loops.any(), f"self-loop at {rows[loops][0]}"
+        assert np.array_equal(codes, np.sort(cols * n + rows)), "asymmetric edge"
 
 
 def load_graph(edge_file: str | Path, feature_file: str | Path | None = None) -> Graph:
@@ -222,40 +225,23 @@ class SparseOperator:
             k = lo + np.searchsorted(indices[lo:hi], v)
             if k < hi and indices[k] == v:
                 data[k] = 0.0
-        return type(self)._from_matrix(mat, self.symmetric)
-
-    @classmethod
-    def _from_matrix(cls, mat: sp.csr_matrix, symmetric: bool) -> "SparseOperator":
-        out = cls.__new__(cls)
-        SparseOperator.__init__(out, mat, symmetric)
-        return out
+        return SparseOperator(mat, self.symmetric)
 
 
-class NormalizedAdjacency(SparseOperator):
-    """Self-loop adjacency scaled by inverse square-root degrees.
+def normalize(g: Graph) -> SparseOperator:
+    """Symmetrically normalized adjacency with self-loops.
 
     Entry (u, v) = ((deg(u)+1) * (deg(v)+1)) ** -0.5 for every edge and
     every diagonal position; symmetric, all values in (0, 1].
     """
-
-    @classmethod
-    def from_graph(cls, g: Graph) -> "NormalizedAdjacency":
-        n = g.num_nodes
-        inv = 1.0 / np.sqrt(g.degrees + 1.0)
-        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(g.indptr))
-        cols = g.indices
-        rows = np.concatenate([rows, np.arange(n, dtype=np.int64)])
-        cols = np.concatenate([cols, np.arange(n, dtype=np.int64)])
-        vals = inv[rows] * inv[cols]
-        mat = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-        out = cls.__new__(cls)
-        SparseOperator.__init__(out, mat, symmetric=True)
-        return out
-
-
-def normalize(g: Graph) -> NormalizedAdjacency:
-    """Symmetrically normalized adjacency with self-loops."""
-    return NormalizedAdjacency.from_graph(g)
+    n = g.num_nodes
+    inv = 1.0 / np.sqrt(g.degrees + 1.0)
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(g.indptr))
+    rows = np.concatenate([rows, np.arange(n, dtype=np.int64)])
+    cols = np.concatenate([g.indices, np.arange(n, dtype=np.int64)])
+    vals = inv[rows] * inv[cols]
+    return SparseOperator(sp.csr_matrix((vals, (rows, cols)), shape=(n, n)),
+                          symmetric=True)
 
 
 def mean_adjacency(g: Graph) -> SparseOperator:
@@ -276,11 +262,6 @@ def plain_adjacency(g: Graph) -> SparseOperator:
     vals = np.ones(len(g.indices), dtype=np.float64)
     return SparseOperator(sp.csr_matrix((vals, (rows, g.indices)), shape=(n, n)),
                           symmetric=True)
-
-
-def spmm(adj: SparseOperator, x: Array) -> Array:
-    """Sparse-dense product with shape checking."""
-    return adj.matvec(np.asarray(x))
 
 
 # ---------------------------------------------------------------------------

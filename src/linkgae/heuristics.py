@@ -8,6 +8,8 @@ All heuristic evaluation runs on the train-edge graph only.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .evaluation import MetricSpec
@@ -47,44 +49,33 @@ def resource_allocation(g: Graph, u: int, v: int) -> float:
     return float(np.sum(1.0 / g.degrees[shared]))
 
 
-def feature_cosine(g: Graph, u: int, v: int) -> float:
-    """cos(x_u, x_v); zero-vector rows score 0."""
-    if g.features is None:
-        raise ValueError(
-            "graph has no node features; score with all-ones features instead")
-    xu, xv = g.features[u], g.features[v]
-    nu, nv = np.linalg.norm(xu), np.linalg.norm(xv)
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    return float(np.dot(xu, xv) / (nu * nv))
-
-
 HEURISTICS = ("cn", "aa", "ra", "cos")
 
 
-def score_edges(g: Graph, edges: np.ndarray, which: str,
-                features: np.ndarray | None = None) -> np.ndarray:
-    """Score a list of pairs with one heuristic.
+def score_edges(g: Graph, edges: np.ndarray, which: str) -> np.ndarray:
+    """Score pairs of shape (..., 2) with one heuristic; returns shape (...).
 
-    ``features`` overrides the graph's own features for the cosine
-    heuristic (used for the all-ones fallback on featureless data).
+    Cosine scores zero-vector rows as 0.
     """
     which = which.lower()
     if which not in HEURISTICS:
         raise ValueError(f"unknown heuristic {which!r}; choose from {HEURISTICS}")
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    edges = np.asarray(edges, dtype=np.int64)
+    flat = edges.reshape(-1, 2)
     if which == "cos":
-        x = features if features is not None else g.features
+        x = g.features
         if x is None:
             raise ValueError(
-                "cosine heuristic needs features; pass all-ones features for "
+                "cosine heuristic needs features; use all-ones features for "
                 "featureless graphs")
         norms = np.linalg.norm(x, axis=1)
         safe = np.where(norms == 0.0, 1.0, norms)
         xn = x / safe[:, None]
-        return np.sum(xn[edges[:, 0]] * xn[edges[:, 1]], axis=1)
-    fn = {"cn": common_neighbors, "aa": adamic_adar, "ra": resource_allocation}[which]
-    return np.array([fn(g, int(u), int(v)) for u, v in edges], dtype=np.float64)
+        scores = np.sum(xn[flat[:, 0]] * xn[flat[:, 1]], axis=1)
+    else:
+        fn = {"cn": common_neighbors, "aa": adamic_adar, "ra": resource_allocation}[which]
+        scores = np.array([fn(g, int(u), int(v)) for u, v in flat], dtype=np.float64)
+    return scores.reshape(edges.shape[:-1])
 
 
 def heuristic_eval(g: Graph, split: EdgeSplit, which: str,
@@ -105,14 +96,9 @@ def structure_feature_report(g: Graph, split: EdgeSplit,
     ties every pair and lands the cosine heuristic at the floor.
     """
     p_s = heuristic_eval(g, split, "cn", metric)
-    if g.features is not None:
-        p_f = heuristic_eval(g, split, "cos", metric)
-    else:
-        g_train = Graph.from_edges(g.num_nodes, split.train_pos)
-        ones = np.ones((g.num_nodes, 1))
-        pos = score_edges(g_train, split.test_pos, "cos", features=ones)
-        neg = score_edges(g_train, split.test_neg, "cos", features=ones)
-        p_f = metric.evaluate(pos, neg)
+    if g.features is None:
+        g = replace(g, features=np.ones((g.num_nodes, 1)))
+    p_f = heuristic_eval(g, split, "cos", metric)
     index = p_s / (p_s + p_f + EPSILON)
     return {
         "p_structure": p_s,
@@ -121,8 +107,3 @@ def structure_feature_report(g: Graph, split: EdgeSplit,
         "num_nodes": g.num_nodes,
         "avg_degree": float(g.degrees.mean()) if g.num_nodes else 0.0,
     }
-
-
-def structure_feature_index(g: Graph, split: EdgeSplit,
-                            metric: MetricSpec) -> float:
-    return structure_feature_report(g, split, metric)["index"]

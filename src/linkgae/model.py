@@ -10,42 +10,19 @@ endpoint embeddings.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .config import ModelConfig
 from .engine import Tape, Tensor
-from .graph import (Graph, NormalizedAdjacency, SparseOperator,
-                    mean_adjacency, normalize, plain_adjacency)
+from .graph import (Graph, SparseOperator, mean_adjacency, normalize,
+                    plain_adjacency)
 
 INPUT_MODES = ("raw", "learnable-orthogonal", "fixed-orthogonal", "all-ones",
                "random-uniform", "raw-plus-learnable")
 CHECKPOINT_VERSION = 1
-
-
-@dataclass(frozen=True)
-class EncoderConfig:
-    conv: str = "gcn"
-    num_layers: int = 2
-    hidden_dim: int = 256
-    linear: bool = True
-    initial_residual: bool = True
-    l2_normalize_output: bool = False
-
-
-@dataclass(frozen=True)
-class DecoderConfig:
-    kind: str = "mlp"
-    mlp_layers: int = 2
-    initial_residual: bool = True
-    dropout: float = 0.0
-
-
-def nonlinear_variant(cfg: EncoderConfig) -> EncoderConfig:
-    """Encoder variant with ReLU between message-passing layers."""
-    return replace(cfg, linear=False)
 
 
 def orthogonal_rows(n: int, d: int, rng: np.random.Generator,
@@ -132,7 +109,7 @@ def build_input(g: Graph, mode: str, dim: int, seed: int | np.random.Generator,
 class MessageOperators:
     """The sparse operators a convolution needs, built from train edges."""
 
-    norm: NormalizedAdjacency
+    norm: SparseOperator
     mean: SparseOperator | None = None
     plain: SparseOperator | None = None
 
@@ -156,13 +133,13 @@ class MessageOperators:
 class Encoder:
     """Stack of message-passing layers sharing one width."""
 
-    def __init__(self, cfg: EncoderConfig, rng: np.random.Generator, dtype=np.float64):
+    def __init__(self, cfg: ModelConfig, rng: np.random.Generator, dtype=np.float64):
         if cfg.conv not in ("gcn", "sage", "gin"):
             raise ValueError(f"unknown convolution {cfg.conv!r}")
         self.cfg = cfg
         d = cfg.hidden_dim
         self.layers: list[dict[str, Tensor]] = []
-        for l in range(cfg.num_layers):
+        for l in range(cfg.mpnn_layers):
             if cfg.conv == "gcn":
                 layer = {"w": Tensor(orthogonal_rows(d, d, rng, dtype), param=True,
                                      name=f"enc.{l}.w")}
@@ -213,13 +190,13 @@ class Encoder:
 
     def forward(self, tape: Tape, ops: MessageOperators, z0: Tensor) -> Tensor:
         z = z0
-        last = self.cfg.num_layers - 1
-        for l in range(self.cfg.num_layers):
+        last = self.cfg.mpnn_layers - 1
+        for l in range(self.cfg.mpnn_layers):
             c = self._conv(tape, ops, z, l)
-            if not self.cfg.linear and l < last:
+            if not self.cfg.linear_encoder and l < last:
                 c = tape.relu(c)
-            z = tape.add(c, z0) if self.cfg.initial_residual else c
-        if self.cfg.l2_normalize_output:
+            z = tape.add(c, z0) if self.cfg.encoder_residual else c
+        if self.cfg.normalize_embeddings:
             z = tape.l2_normalize(z)
         return z
 
@@ -227,16 +204,16 @@ class Encoder:
 class Decoder:
     """Dot-product or residual-MLP pair scorer; returns raw logits."""
 
-    def __init__(self, cfg: DecoderConfig, dim: int, rng: np.random.Generator,
-                 dtype=np.float64):
-        if cfg.kind not in ("dot", "mlp"):
-            raise ValueError(f"unknown decoder {cfg.kind!r}")
+    def __init__(self, cfg: ModelConfig, rng: np.random.Generator, dtype=np.float64):
+        if cfg.decoder not in ("dot", "mlp"):
+            raise ValueError(f"unknown decoder {cfg.decoder!r}")
         self.cfg = cfg
         self.weights: list[Tensor] = []
         self.biases: list[Tensor] = []
         self.w_head: Tensor | None = None
         self.b_head: Tensor | None = None
-        if cfg.kind == "mlp":
+        dim = cfg.hidden_dim
+        if cfg.decoder == "mlp":
             for l in range(cfg.mlp_layers):
                 self.weights.append(Tensor(orthogonal_rows(dim, dim, rng, dtype),
                                            param=True, name=f"dec.{l}.w"))
@@ -256,7 +233,7 @@ class Decoder:
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         zu = tape.gather_rows(z, edges[:, 0])
         zv = tape.gather_rows(z, edges[:, 1])
-        if self.cfg.kind == "dot":
+        if self.cfg.decoder == "dot":
             return tape.row_dot(zu, zv)
         h0 = tape.hadamard(zu, zv)
         h = h0
@@ -264,7 +241,7 @@ class Decoder:
             h = tape.relu(tape.add(tape.matmul(h, w), b))
             if train and self.cfg.dropout > 0.0:
                 h = tape.dropout(h, self.cfg.dropout, rng, train)
-            if self.cfg.initial_residual:
+            if self.cfg.decoder_residual:
                 h = tape.add(h, h0)
         return tape.add(tape.matmul(h, self.w_head), self.b_head)
 
@@ -277,16 +254,9 @@ class GAEModel:
         dtype = cfg.np_dtype
         self.graph = g
         self.cfg = cfg
-        self.enc_cfg = EncoderConfig(
-            conv=cfg.conv, num_layers=cfg.mpnn_layers, hidden_dim=cfg.hidden_dim,
-            linear=cfg.linear_encoder, initial_residual=cfg.encoder_residual,
-            l2_normalize_output=cfg.normalize_embeddings)
-        self.dec_cfg = DecoderConfig(
-            kind=cfg.decoder, mlp_layers=cfg.mlp_layers,
-            initial_residual=cfg.decoder_residual, dropout=cfg.dropout)
         self.input = InputRepresentation(g, cfg.input_mode, cfg.hidden_dim, rng, dtype)
-        self.encoder = Encoder(self.enc_cfg, rng, dtype)
-        self.decoder = Decoder(self.dec_cfg, cfg.hidden_dim, rng, dtype)
+        self.encoder = Encoder(cfg, rng, dtype)
+        self.decoder = Decoder(cfg, rng, dtype)
 
     def params(self) -> list[Tensor]:
         return self.input.params() + self.encoder.params() + self.decoder.params()
@@ -303,13 +273,15 @@ class GAEModel:
 
     def score_edges(self, ops: MessageOperators, edges: np.ndarray,
                     chunk: int = 16384) -> np.ndarray:
-        """Eval-mode logits for a list of pairs, batched to bound memory."""
-        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        """Eval-mode logits for pairs of shape (..., 2), returned as shape (...)."""
+        edges = np.asarray(edges, dtype=np.int64)
+        flat = edges.reshape(-1, 2)
         tape = Tape(record=False)
         z = self.encode(tape, ops)
-        parts = [self.decode(tape, z, edges[i:i + chunk]).value[:, 0]
-                 for i in range(0, len(edges), chunk)]
-        return np.concatenate(parts) if parts else np.empty(0)
+        parts = [self.decode(tape, z, flat[i:i + chunk]).value[:, 0]
+                 for i in range(0, len(flat), chunk)]
+        scores = np.concatenate(parts) if parts else np.empty(0)
+        return scores.reshape(edges.shape[:-1])
 
     def snapshot(self) -> list[np.ndarray]:
         return [p.value.copy() for p in self.params()]

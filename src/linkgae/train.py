@@ -30,6 +30,27 @@ def bce_loss(tape: Tape, pos_logits: Tensor | None, neg_logits: Tensor | None) -
     return tape.bce_with_logits(logits, Tensor(labels.astype(logits.dtype)))
 
 
+def train_step(model: GAEModel, batch: np.ndarray, cfg: ModelConfig,
+               ops: MessageOperators, adam: Adam, rng: np.random.Generator,
+               on_batch=None) -> tuple[float, int]:
+    """One optimizer step on a batch of positives plus fresh negatives.
+
+    Returns the mean loss and the number of scored pairs.
+    """
+    negs = sample_negatives(model.graph, cfg.neg_ratio * len(batch), rng)
+    bops = ops.masked(batch) if cfg.mask_input else ops
+    if on_batch is not None:
+        on_batch(batch, bops)
+    tape = Tape()
+    z = model.encode(tape, bops)
+    logits_pos = model.decode(tape, z, batch, train=True, rng=rng)
+    logits_neg = model.decode(tape, z, negs, train=True, rng=rng)
+    loss = bce_loss(tape, logits_pos, logits_neg)
+    tape.backward(loss)
+    adam.step()
+    return loss.item(), len(batch) + len(negs)
+
+
 def train_epoch(model: GAEModel, split: EdgeSplit, cfg: ModelConfig, *,
                 ops: MessageOperators, adam: Adam, rng: np.random.Generator,
                 on_batch=None) -> float:
@@ -39,19 +60,8 @@ def train_epoch(model: GAEModel, split: EdgeSplit, cfg: ModelConfig, *,
     total, seen = 0.0, 0
     for s in range(0, m, cfg.batch_size):
         batch = split.train_pos[perm[s:s + cfg.batch_size]]
-        negs = sample_negatives(model.graph, cfg.neg_ratio * len(batch), rng)
-        bops = ops.masked(batch) if cfg.mask_input else ops
-        if on_batch is not None:
-            on_batch(batch, bops)
-        tape = Tape()
-        z = model.encode(tape, bops)
-        logits_pos = model.decode(tape, z, batch, train=True, rng=rng)
-        logits_neg = model.decode(tape, z, negs, train=True, rng=rng)
-        loss = bce_loss(tape, logits_pos, logits_neg)
-        tape.backward(loss)
-        adam.step()
-        n = len(batch) + len(negs)
-        total += loss.item() * n
+        loss, n = train_step(model, batch, cfg, ops, adam, rng, on_batch)
+        total += loss * n
         seen += n
     return total / seen
 
@@ -152,14 +162,6 @@ def single_batch_step(model: GAEModel, split: EdgeSplit, cfg: ModelConfig,
     batch = split.train_pos[np.resize(np.arange(m), b)]
 
     def step() -> None:
-        negs = sample_negatives(model.graph, cfg.neg_ratio * b, rng)
-        bops = ops.masked(batch) if cfg.mask_input else ops
-        tape = Tape()
-        z = model.encode(tape, bops)
-        logits_pos = model.decode(tape, z, batch, train=True, rng=rng)
-        logits_neg = model.decode(tape, z, negs, train=True, rng=rng)
-        loss = bce_loss(tape, logits_pos, logits_neg)
-        tape.backward(loss)
-        adam.step()
+        train_step(model, batch, cfg, ops, adam, rng)
 
     return step

@@ -146,3 +146,47 @@ def test_loglog_slope_quadratic():
     xs = [128, 256, 512, 1024]
     ys = [x ** 2 * 1e-9 for x in xs]
     assert abs(loglog_slope(xs, ys) - 2.0) < 1e-9
+
+
+def test_per_source_mrr_ranks_each_positive_against_its_own_candidates():
+    # N(0)={1,2}, N(1)={0,2}, N(2)={0,1,3}, N(3)={2}, N(4)={}.
+    # CN: positives (0,2)->1, (1,3)->1; source 0 candidates (0,4)->0,
+    # (0,3)->1; source 1 candidates (1,4)->0, (1,0)->1. Each positive ties
+    # one of its own two candidates: rank 2, MRR 1/2. Pooling all four
+    # candidates would rank both at 3 and give 1/3.
+    from linkgae.config import ModelConfig
+    from linkgae.heuristics import score_edges
+    from linkgae.model import GAEModel, MessageOperators
+
+    g = Graph.from_edges(5, np.array([[0, 1], [1, 2], [2, 3], [0, 2]]))
+    pos = np.array([[0, 2], [1, 3]])
+    cand = np.array([[[0, 4], [0, 3]], [[1, 4], [1, 0]]])
+    ps, ns = score_edges(g, pos, "cn"), score_edges(g, cand, "cn")
+    assert ps.shape == (2,) and ns.shape == (2, 2)
+    assert MetricSpec.parse("mrr").evaluate(ps, ns) == 0.5
+
+    model = GAEModel(g, ModelConfig(hidden_dim=4, mlp_layers=1), seed=0)
+    scores = model.score_edges(MessageOperators.build(g, "gcn"), cand)
+    assert scores.shape == (2, 2)
+
+
+def test_model_gradient_check_catches_a_wrong_gather_backward(monkeypatch):
+    # negative control for the full-model check alone: a 5% error in the
+    # gather_rows backward must push its relative error past the 1e-4 bar
+    from linkgae import engine
+    from linkgae.evaluation import model_gradient_check
+
+    assert model_gradient_check("gcn") < 1e-4
+
+    def bad_gather_rows(self, x, idx):
+        idx = np.asarray(idx, dtype=np.int64)
+
+        def bwd(up):
+            g = np.zeros_like(x.value)
+            np.add.at(g, idx, up * 1.05)
+            engine._accumulate(x, g)
+
+        return self._emit(x.value[idx], (x,), bwd)
+
+    monkeypatch.setattr(engine.Tape, "gather_rows", bad_gather_rows)
+    assert model_gradient_check("gcn") > 1e-4

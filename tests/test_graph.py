@@ -3,7 +3,7 @@ import pytest
 
 from linkgae.graph import (EdgeSplit, Graph, load_graph, mean_adjacency,
                            normalize, plain_adjacency, random_split,
-                           sample_negatives, spmm)
+                           sample_negatives)
 from tests.conftest import random_graph
 
 
@@ -62,6 +62,19 @@ def test_graph_invariants_on_random_graphs(rng):
         g.validate()
 
 
+def test_validate_rejects_broken_csr():
+    # negative controls: each graph breaks exactly one invariant
+    asymmetric = Graph(3, np.array([0, 1, 1, 1]), np.array([1]))
+    with pytest.raises(AssertionError, match="asymmetric"):
+        asymmetric.validate()
+    unsorted = Graph(3, np.array([0, 2, 3, 4]), np.array([2, 1, 0, 0]))
+    with pytest.raises(AssertionError, match="row 0 not strictly sorted"):
+        unsorted.validate()
+    self_loop = Graph(2, np.array([0, 2, 3]), np.array([0, 1, 0]))
+    with pytest.raises(AssertionError, match="self-loop at 0"):
+        self_loop.validate()
+
+
 # -- normalization and spmm ---------------------------------------------------
 
 def test_normalize_single_edge_dense_form():
@@ -97,14 +110,14 @@ def test_normalize_symmetry_values_and_degrees(rng):
 
 def test_spmm_single_edge():
     g = Graph.from_edges(2, np.array([[0, 1]]))
-    out = spmm(normalize(g), np.array([[1.0], [0.0]]))
+    out = normalize(g).matvec(np.array([[1.0], [0.0]]))
     assert np.allclose(out, [[0.5], [0.5]], atol=1e-15)
 
 
 def test_spmm_edgeless_graph_is_identity():
     g = Graph.from_edges(4, np.empty((0, 2), dtype=np.int64))
     x = np.arange(8.0).reshape(4, 2)
-    assert np.array_equal(spmm(normalize(g), x), x)
+    assert np.array_equal(normalize(g).matvec(x), x)
 
 
 def test_spmm_matches_dense_oracle_on_random_graphs(rng):
@@ -113,7 +126,7 @@ def test_spmm_matches_dense_oracle_on_random_graphs(rng):
         adj = normalize(g)
         x = rng.standard_normal((g.num_nodes, 3))
         dense = adj.toarray() @ x
-        assert np.max(np.abs(spmm(adj, x) - dense)) < 1e-12
+        assert np.max(np.abs(adj.matvec(x) - dense)) < 1e-12
 
 
 def test_spmm_row_sums_match_operator(rng):
@@ -121,20 +134,20 @@ def test_spmm_row_sums_match_operator(rng):
         g = random_graph(rng, n_max=30)
         adj = normalize(g)
         ones = np.ones((g.num_nodes, 1))
-        assert np.allclose(spmm(adj, ones)[:, 0], adj.toarray().sum(axis=1), atol=1e-12)
+        assert np.allclose(adj.matvec(ones)[:, 0], adj.toarray().sum(axis=1), atol=1e-12)
 
 
 def test_spmm_repeated_calls_bit_identical(rng):
     g = random_graph(rng, n_max=40)
     adj = normalize(g)
     x = rng.standard_normal((g.num_nodes, 8))
-    assert np.array_equal(spmm(adj, x), spmm(adj, x))
+    assert np.array_equal(adj.matvec(x), adj.matvec(x))
 
 
 def test_spmm_shape_mismatch():
     g = p3()
     with pytest.raises(ValueError):
-        spmm(normalize(g), np.ones((4, 2)))
+        normalize(g).matvec(np.ones((4, 2)))
 
 
 def test_mean_and_plain_adjacency():

@@ -3,9 +3,8 @@ import pytest
 
 from linkgae.evaluation import MetricSpec
 from linkgae.graph import EdgeSplit, Graph
-from linkgae.heuristics import (adamic_adar, common_neighbors, feature_cosine,
-                                heuristic_eval, resource_allocation,
-                                score_edges, structure_feature_index,
+from linkgae.heuristics import (adamic_adar, common_neighbors, heuristic_eval,
+                                resource_allocation, score_edges,
                                 structure_feature_report)
 from tests.conftest import random_graph
 
@@ -69,15 +68,14 @@ def test_symmetry_in_u_v(rng):
 def test_feature_cosine_values():
     x = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 2.0], [1.0, 0.0], [0.0, 0.0]])
     g = Graph.from_edges(5, np.array([[0, 1]]), x)
-    assert abs(feature_cosine(g, 0, 3) - 1.0) < 1e-12  # identical nonzero rows
-    assert abs(feature_cosine(g, 0, 2)) < 1e-12  # orthogonal rows
-    assert abs(feature_cosine(g, 0, 1) - np.sqrt(0.5)) < 1e-10
-    assert feature_cosine(g, 0, 4) == 0.0  # zero-vector convention
+    cos = score_edges(g, np.array([[0, 3], [0, 2], [0, 1], [0, 4]]), "cos")
+    assert abs(cos[0] - 1.0) < 1e-12  # identical nonzero rows
+    assert abs(cos[1]) < 1e-12  # orthogonal rows
+    assert abs(cos[2] - np.sqrt(0.5)) < 1e-10
+    assert cos[3] == 0.0  # zero-vector convention
 
 
 def test_feature_cosine_requires_features():
-    with pytest.raises(ValueError, match="features"):
-        feature_cosine(p3(), 0, 2)
     with pytest.raises(ValueError, match="features"):
         score_edges(p3(), np.array([[0, 2]]), "cos")
 
@@ -126,7 +124,7 @@ def test_index_structure_only_limit():
     ones = np.ones_like(g.features)
     g_allones = Graph.from_edges(6, g.edge_list(), ones)
     metric = MetricSpec.parse("hits@1")
-    idx = structure_feature_index(g_allones, split, metric)
+    idx = structure_feature_report(g_allones, split, metric)["index"]
     assert idx > 0.999  # P_F at the tie floor, structure-only limit
 
 
@@ -147,7 +145,7 @@ def test_index_featureless_fallback_and_range(rng):
             continue
         from linkgae.graph import random_split
         split = random_split(g, seed=1)
-        idx = structure_feature_index(g, split, metric)
+        idx = structure_feature_report(g, split, metric)["index"]
         assert 0.0 <= idx < 1.0
 
 

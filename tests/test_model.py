@@ -4,9 +4,8 @@ import pytest
 from linkgae.config import ModelConfig
 from linkgae.engine import Tape
 from linkgae.graph import Graph, normalize
-from linkgae.model import (Decoder, DecoderConfig, Encoder, EncoderConfig,
-                           GAEModel, MessageOperators, build_input,
-                           nonlinear_variant, orthogonal_rows)
+from linkgae.model import (Decoder, Encoder, GAEModel, MessageOperators,
+                           build_input, orthogonal_rows)
 from linkgae.evaluation import orthogonality_stats
 from tests.conftest import random_graph
 
@@ -92,8 +91,8 @@ def test_unknown_mode_rejected():
 
 def _identity_encoder(g, k, d, residual=False, linear=True):
     rng = np.random.default_rng(0)
-    enc = Encoder(EncoderConfig("gcn", k, d, linear=linear,
-                                initial_residual=residual), rng)
+    enc = Encoder(ModelConfig(conv="gcn", mpnn_layers=k, hidden_dim=d,
+                              linear_encoder=linear, encoder_residual=residual), rng)
     enc.set_identity_weights()
     return enc
 
@@ -121,7 +120,7 @@ def test_p3_identity_encoder_logit_is_one_sixth():
     ops = MessageOperators.build(g, "gcn")
     tape = Tape(record=False)
     z = enc.forward(tape, ops, rep.forward(tape))
-    dec = Decoder(DecoderConfig(kind="dot"), 3, np.random.default_rng(0))
+    dec = Decoder(ModelConfig(decoder="dot", hidden_dim=3), np.random.default_rng(0))
     logit = dec.forward(tape, z, np.array([[0, 2]]))
     assert abs(logit.item() - 1.0 / 6.0) < 1e-12
 
@@ -139,7 +138,7 @@ def test_edgeless_graph_residual_doubles_input():
 
 def test_residual_survives_zeroed_conv_weights(rng):
     g = random_graph(rng, n_min=6, n_max=12)
-    enc = Encoder(EncoderConfig("gcn", 3, 8, initial_residual=True),
+    enc = Encoder(ModelConfig(mpnn_layers=3, hidden_dim=8, encoder_residual=True),
                   np.random.default_rng(0))
     for layer in enc.layers:
         layer["w"].value[:] = 0.0
@@ -160,7 +159,7 @@ def test_permutation_equivariance(rng):
     rep = build_input(g, "fixed-orthogonal", n, seed=5)
     table2 = np.empty_like(rep.table.value)
     table2[perm] = rep.table.value  # node u keeps its signature after relabel
-    enc = Encoder(EncoderConfig("gcn", 2, n), np.random.default_rng(1))
+    enc = Encoder(ModelConfig(mpnn_layers=2, hidden_dim=n), np.random.default_rng(1))
     from linkgae.engine import Tensor
     z1 = enc.forward(Tape(record=False), MessageOperators.build(g, "gcn"),
                      Tensor(rep.table.value))
@@ -171,11 +170,10 @@ def test_permutation_equivariance(rng):
 
 def test_nonlinear_variant_changes_output():
     g = p3()
-    cfg = EncoderConfig("gcn", 2, 4, linear=True)
-    assert nonlinear_variant(cfg).linear is False
+    cfg = ModelConfig(mpnn_layers=2, hidden_dim=4, linear_encoder=True)
     rng_a, rng_b = np.random.default_rng(9), np.random.default_rng(9)
     enc_lin = Encoder(cfg, rng_a)
-    enc_nl = Encoder(nonlinear_variant(cfg), rng_b)
+    enc_nl = Encoder(cfg.replace(linear_encoder=False), rng_b)
     rep = build_input(g, "fixed-orthogonal", 4, seed=0)
     ops = MessageOperators.build(g, "gcn")
     z_lin = enc_lin.forward(Tape(record=False), ops, rep.forward(Tape(record=False)))
@@ -185,9 +183,10 @@ def test_nonlinear_variant_changes_output():
 
 def test_relu_is_identity_on_positive_preactivations():
     g = p3()
-    cfg = EncoderConfig("gcn", 2, 4, linear=True, initial_residual=False)
+    cfg = ModelConfig(mpnn_layers=2, hidden_dim=4, linear_encoder=True,
+                      encoder_residual=False)
     enc_lin = Encoder(cfg, np.random.default_rng(2))
-    enc_nl = Encoder(nonlinear_variant(cfg), np.random.default_rng(3))
+    enc_nl = Encoder(cfg.replace(linear_encoder=False), np.random.default_rng(3))
     for la, lb in zip(enc_lin.layers, enc_nl.layers):
         w = np.abs(la["w"].value)
         la["w"].value = w
@@ -205,7 +204,8 @@ def test_sage_and_gin_encoders_run_and_differ(rng):
     rep = build_input(g, "learnable-orthogonal", 16, seed=0)
     outs = {}
     for conv in ("gcn", "sage", "gin"):
-        enc = Encoder(EncoderConfig(conv, 2, 16), np.random.default_rng(4))
+        enc = Encoder(ModelConfig(conv=conv, mpnn_layers=2, hidden_dim=16),
+                      np.random.default_rng(4))
         ops = MessageOperators.build(g, conv)
         tape = Tape(record=False)
         outs[conv] = enc.forward(tape, ops, rep.forward(tape)).value
@@ -216,7 +216,7 @@ def test_sage_and_gin_encoders_run_and_differ(rng):
 def test_encoder_l2_normalization_flag(rng):
     g = random_graph(rng, n_min=6, n_max=10)
     rep = build_input(g, "learnable-orthogonal", 8, seed=0)
-    enc = Encoder(EncoderConfig("gcn", 2, 8, l2_normalize_output=True),
+    enc = Encoder(ModelConfig(mpnn_layers=2, hidden_dim=8, normalize_embeddings=True),
                   np.random.default_rng(0))
     tape = Tape(record=False)
     z = enc.forward(tape, MessageOperators.build(g, "gcn"), rep.forward(tape))
@@ -228,7 +228,7 @@ def test_encoder_l2_normalization_flag(rng):
 def test_dot_decoder_unit_and_orthogonal_pairs():
     from linkgae.engine import Tensor
     z = Tensor(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
-    dec = Decoder(DecoderConfig(kind="dot"), 2, np.random.default_rng(0))
+    dec = Decoder(ModelConfig(decoder="dot", hidden_dim=2), np.random.default_rng(0))
     tape = Tape(record=False)
     logits = dec.forward(tape, z, np.array([[0, 1], [0, 2]]))
     assert np.allclose(logits.value[:, 0], [1.0, 0.0])
@@ -238,7 +238,7 @@ def test_mlp_decoder_zero_head_gives_chance_probability():
     from linkgae.engine import Tensor
     from scipy.special import expit
     rng = np.random.default_rng(0)
-    dec = Decoder(DecoderConfig(kind="mlp", mlp_layers=3, dropout=0.0), 8, rng)
+    dec = Decoder(ModelConfig(decoder="mlp", mlp_layers=3, dropout=0.0, hidden_dim=8), rng)
     dec.w_head.value[:] = 0.0
     dec.b_head.value[:] = 0.0
     z = Tensor(rng.standard_normal((5, 8)))
@@ -249,7 +249,7 @@ def test_mlp_decoder_zero_head_gives_chance_probability():
 
 def test_decoder_rejects_out_of_range_edge():
     from linkgae.engine import Tensor
-    dec = Decoder(DecoderConfig(kind="dot"), 2, np.random.default_rng(0))
+    dec = Decoder(ModelConfig(decoder="dot", hidden_dim=2), np.random.default_rng(0))
     z = Tensor(np.ones((3, 2)))
     with pytest.raises(IndexError):
         dec.forward(Tape(record=False), z, np.array([[0, 5]]))
