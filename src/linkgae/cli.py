@@ -76,7 +76,7 @@ def resolve_config(args) -> ModelConfig:
 def _run_seed(g: Graph, cfg: ModelConfig, seed: int,
               split_file: str | None = None, log=None):
     if split_file:
-        split = EdgeSplit.load(split_file)
+        split = EdgeSplit.load(split_file, g.num_nodes)
     else:
         split = random_split(g, seed=seed)
     model = GAEModel(g, cfg, seed=seed)

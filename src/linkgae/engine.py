@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.special import expit
 
 # Flipped on by debug paths/tests: every op output is checked for NaN/Inf.
@@ -57,8 +58,11 @@ class Tensor:
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
+    # The first write keeps ``g`` as the gradient buffer, and later writes add
+    # into it in place. So a backward closure must pass each input an array
+    # no other input receives: ``up`` itself may go to one input only.
     if t.grad is None:
-        t.grad = g.astype(t.value.dtype, copy=True)
+        t.grad = g if g.dtype == t.value.dtype else g.astype(t.value.dtype)
     else:
         t.grad += g
 
@@ -148,7 +152,8 @@ class Tape:
             if a.tracked:
                 _accumulate(a, up)
             if b.tracked:
-                _accumulate(b, up.sum(axis=0, keepdims=True) if row_broadcast else up)
+                _accumulate(b, up.sum(axis=0, keepdims=True) if row_broadcast
+                            else up.copy() if a.tracked else up)
 
         return self._emit(val, (a, b), bwd)
 
@@ -203,9 +208,14 @@ class Tape:
 
         def bwd(up):
             if x.tracked:
-                g = np.zeros_like(x.value)
-                np.add.at(g, idx, up)
-                _accumulate(x, g)
+                # One-hot (rows=idx, cols=arange) @ up sums each row's
+                # gradients in index order, exactly as np.add.at would.
+                order = np.argsort(idx, kind="stable")
+                indptr = np.zeros(x.shape[0] + 1, dtype=np.int64)
+                np.cumsum(np.bincount(idx, minlength=x.shape[0]), out=indptr[1:])
+                onehot = sp.csr_matrix((np.ones(len(idx), dtype=up.dtype), order, indptr),
+                                       shape=(x.shape[0], len(idx)))
+                _accumulate(x, onehot @ up)
 
         return self._emit(val, (x,), bwd)
 
@@ -234,8 +244,9 @@ class Tape:
             raise ValueError(f"dropout rate must be in [0, 1), got {p}")
         if not train or p == 0.0:
             return x
-        mask = (rng.random(x.shape) >= p) / (1.0 - p)
-        mask = mask.astype(x.value.dtype)
+        # The float64 draw keeps the random stream; the mask is built in x's dtype.
+        mask = (rng.random(x.shape) >= p).astype(x.value.dtype)
+        mask *= x.value.dtype.type(1.0 / (1.0 - p))
         val = x.value * mask
 
         def bwd(up):

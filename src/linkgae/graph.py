@@ -39,6 +39,15 @@ def _decode(codes: Array, n: int) -> Array:
     return np.stack([codes // n, codes % n], axis=1).astype(np.int64)
 
 
+def _find(sorted_codes: Array, codes: Array) -> tuple[Array, Array]:
+    """Insertion positions of ``codes`` in the sorted, duplicate-free
+    ``sorted_codes``, and whether each code is present there."""
+    pos = np.searchsorted(sorted_codes, codes)
+    if not len(sorted_codes):
+        return pos, np.zeros(len(codes), dtype=bool)
+    return pos, sorted_codes[np.minimum(pos, len(sorted_codes) - 1)] == codes
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected graph in CSR form; immutable after construction.
@@ -98,12 +107,7 @@ class Graph:
 
     def has_edges(self, pairs: Array) -> Array:
         """Vectorized membership test for canonical pairs."""
-        codes = _codes(pairs, self.num_nodes)
-        pos = np.searchsorted(self._pair_codes, codes)
-        pos = np.minimum(pos, len(self._pair_codes) - 1) if len(self._pair_codes) else pos
-        if not len(self._pair_codes):
-            return np.zeros(len(codes), dtype=bool)
-        return self._pair_codes[pos] == codes
+        return _find(self._pair_codes, _codes(pairs, self.num_nodes))[1]
 
     def validate(self) -> None:
         """Check the CSR invariants; raises AssertionError on violation."""
@@ -182,19 +186,27 @@ class SparseOperator:
         self._mat32: sp.csr_matrix | None = None
         self._mat_t: sp.csr_matrix | None = None
         self._mat_t32: sp.csr_matrix | None = None
+        self._entry_codes: Array | None = None  # row * n + col of every stored entry, ascending
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.mat.shape
+
+    def _with_data(self, data: Array) -> sp.csr_matrix:
+        """A matrix on this operator's index arrays with other values."""
+        return sp.csr_matrix((data, self.mat.indices, self.mat.indptr), shape=self.shape)
+
+    def _float32(self) -> sp.csr_matrix:
+        if self._mat32 is None:
+            self._mat32 = self._with_data(self.mat.data.astype(np.float32))
+        return self._mat32
 
     def matvec(self, x: Array) -> Array:
         """Row-major sparse @ dense; bit-identical across repeated calls."""
         if x.ndim != 2 or x.shape[0] != self.shape[1]:
             raise ValueError(f"spmm shape mismatch {self.shape} @ {x.shape}")
         if x.dtype == np.float32:
-            if self._mat32 is None:
-                self._mat32 = self.mat.astype(np.float32)
-            return self._mat32 @ x
+            return self._float32() @ x
         return self.mat @ x
 
     def rmatvec(self, x: Array) -> Array:
@@ -216,16 +228,29 @@ class SparseOperator:
         return self.mat.toarray()
 
     def without_edges(self, edges: Array) -> "SparseOperator":
-        """Copy with the given undirected edges' values set to zero."""
+        """Copy with the given undirected edges' values set to zero.
+
+        Pairs the operator does not store are skipped. The copy shares this
+        operator's index arrays and copies only the float64 and float32
+        values, so the float32 cast happens once per operator, not per copy.
+        """
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        mat = self.mat.copy()
-        indptr, indices, data = mat.indptr, mat.indices, mat.data
-        for u, v in np.concatenate([edges, edges[:, ::-1]], axis=0):
-            lo, hi = indptr[u], indptr[u + 1]
-            k = lo + np.searchsorted(indices[lo:hi], v)
-            if k < hi and indices[k] == v:
-                data[k] = 0.0
-        return SparseOperator(mat, self.symmetric)
+        n = self.shape[1]
+        if edges.size and (edges.min() < 0 or edges.max() >= n):
+            raise IndexError(f"edge endpoint out of range for a {self.shape} operator")
+        if self._entry_codes is None:
+            rows = np.repeat(np.arange(self.shape[0], dtype=np.int64), np.diff(self.mat.indptr))
+            self._entry_codes = rows * n + self.mat.indices
+        u, v = edges[:, 0], edges[:, 1]
+        pos, found = _find(self._entry_codes, np.concatenate([u * n + v, v * n + u]))
+        pos = pos[found]
+        data, data32 = self.mat.data.copy(), self._float32().data.copy()
+        data[pos] = 0.0
+        data32[pos] = 0.0
+        out = SparseOperator(self._with_data(data), self.symmetric)
+        out._mat32 = self._with_data(data32)
+        out._entry_codes = self._entry_codes
+        return out
 
 
 def normalize(g: Graph) -> SparseOperator:
@@ -294,9 +319,10 @@ class EdgeSplit:
         Path(path).write_text(json.dumps(blob))
 
     @classmethod
-    def load(cls, path: str | Path) -> "EdgeSplit":
+    def load(cls, path: str | Path, num_nodes: int | None = None) -> "EdgeSplit":
+        """Read a split written by ``save``; ``validate`` checks it on the way in."""
         blob = json.loads(Path(path).read_text())
-        return cls(
+        split = cls(
             train_pos=np.asarray(blob["train"], dtype=np.int64).reshape(-1, 2),
             valid_pos=np.asarray(blob["valid"], dtype=np.int64).reshape(-1, 2),
             test_pos=np.asarray(blob["test"], dtype=np.int64).reshape(-1, 2),
@@ -304,6 +330,40 @@ class EdgeSplit:
             test_neg=np.asarray(blob["neg"]["test"], dtype=np.int64),
             seed=int(blob["seed"]),
         )
+        split.validate(num_nodes)
+        return split
+
+    def validate(self, num_nodes: int | None = None) -> None:
+        """Raise ValueError for a malformed or leaky split.
+
+        Rejects node ids below 0 or (given ``num_nodes``) at or above it,
+        self-pairs, positives shared between train, valid and test, and
+        negatives shaped other than (m, 2) or (m, k, 2).
+        """
+        positives = {"train": self.train_pos, "valid": self.valid_pos, "test": self.test_pos}
+        named = {**positives, "valid negatives": self.valid_neg,
+                 "test negatives": self.test_neg}
+        for name, pairs in named.items():
+            negative = name not in positives
+            if pairs.size and (pairs.ndim not in ((2, 3) if negative else (2,))
+                               or pairs.shape[-1] != 2):
+                shapes = "(m, 2) or (m, k, 2)" if negative else "(m, 2)"
+                raise ValueError(f"split {name}: shape {pairs.shape} is not {shapes}")
+            if pairs.size and (pairs.min() < 0
+                               or (num_nodes is not None and pairs.max() >= num_nodes)):
+                raise ValueError(f"split {name}: node id out of range [0, {num_nodes}): "
+                                 f"{pairs.min()} .. {pairs.max()}")
+            flat = pairs.reshape(-1, 2)
+            loops = flat[:, 0] == flat[:, 1]
+            if loops.any():
+                raise ValueError(f"split {name}: self-pair {flat[loops][0].tolist()}")
+        n = 1 + max([int(p.max()) for p in named.values() if p.size], default=0)
+        codes = {name: np.unique(_codes(pairs, n)) for name, pairs in positives.items()}
+        for a, b in (("train", "valid"), ("train", "test"), ("valid", "test")):
+            shared = np.intersect1d(codes[a], codes[b], assume_unique=True)
+            if len(shared):
+                raise ValueError(f"split: {len(shared)} positive(s) in both {a} and {b}, "
+                                 f"e.g. {_decode(shared[:1], n)[0].tolist()}")
 
 
 def random_split(g: Graph, ratios: tuple[float, float, float] = (0.7, 0.1, 0.2),
@@ -348,39 +408,32 @@ def sample_negatives(g: Graph, count: int, seed: int | np.random.Generator,
     excl_codes = np.empty(0, dtype=np.int64)
     if exclude is not None and len(exclude):
         excl_codes = np.unique(_codes(exclude, n))
-        excl_codes = excl_codes[~np.isin(excl_codes, g._pair_codes)]
+        excl_codes = excl_codes[~_find(g._pair_codes, excl_codes)[1]]
         excl_codes = excl_codes[excl_codes // n != excl_codes % n]
     available = total_pairs - g.num_edges - len(excl_codes)
     if count > available:
         raise ValueError(f"requested {count} negatives but only {available} non-edges exist")
 
+    def non_edges(codes: Array) -> Array:
+        codes = codes[~_find(g._pair_codes, codes)[1]]
+        return codes[~_find(excl_codes, codes)[1]]
+
     if count * 3 >= available:
         # Dense regime: enumerate every non-edge and sample without replacement.
         iu, ju = np.triu_indices(n, k=1)
-        codes = iu.astype(np.int64) * n + ju
-        pool = codes[~np.isin(codes, g._pair_codes)]
-        if len(excl_codes):
-            pool = pool[~np.isin(pool, excl_codes)]
+        pool = non_edges(iu.astype(np.int64) * n + ju)
         picked = rng.choice(pool, size=count, replace=False)
         return _decode(np.sort(picked), n)
 
-    taken: set[int] = set()
-    out = []
-    while len(out) < count:
-        k = max(1024, 2 * (count - len(out)))
+    taken = np.empty(0, dtype=np.int64)
+    while len(taken) < count:
+        k = max(1024, 2 * (count - len(taken)))
         u = rng.integers(0, n, k)
         v = rng.integers(0, n, k)
         keep = u != v
-        cand = np.minimum(u[keep], v[keep]) * n + np.maximum(u[keep], v[keep])
-        if len(g._pair_codes):
-            cand = cand[~np.isin(cand, g._pair_codes)]
-        if len(excl_codes):
-            cand = cand[~np.isin(cand, excl_codes)]
-        for c in cand:
-            ci = int(c)
-            if ci not in taken:
-                taken.add(ci)
-                out.append(ci)
-                if len(out) == count:
-                    break
-    return _decode(np.asarray(out, dtype=np.int64), n)
+        cand = non_edges(np.minimum(u[keep], v[keep]) * n + np.maximum(u[keep], v[keep]))
+        # Keep the first occurrence of every code, in draw order.
+        both = np.concatenate([taken, cand])
+        first = np.sort(np.unique(both, return_index=True)[1])
+        taken = both[first[:count]]
+    return _decode(taken, n)

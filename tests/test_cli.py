@@ -193,3 +193,16 @@ def test_split_roundtrip(tmp_path):
     assert split.seed == 3
     total = len(split.train_pos) + len(split.valid_pos) + len(split.test_pos)
     assert total > 0
+
+
+def test_leaky_split_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "split.json"
+    assert run(["split", "--dataset", "synth:n=200", "--out", str(path)]) == 0
+    blob = json.loads(path.read_text())
+    blob["test"].append([0, 5000])
+    blob["valid"].append(blob["train"][0])
+    path.write_text(json.dumps(blob))
+    rc = run(["train", "--dataset", "synth:n=200", "--split-file", str(path),
+              "--set", "epochs=2,eval_every=1", "--out-dir", str(tmp_path / "runs")])
+    assert rc == 2
+    assert "split" in capsys.readouterr().err

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from linkgae.engine import (Adam, Tape, Tensor, finite_difference_check,
-                            gradient_check_all, registered_ops, _op_cases)
+                            gradient_check_all, registered_ops, _accumulate, _op_cases)
 
 
 def test_tensor_rejects_non_2d():
@@ -176,3 +176,53 @@ def test_op_case_inputs_are_reproducible():
     for name in a:
         for ta, tb in zip(a[name][0], b[name][0]):
             assert np.array_equal(ta.value, tb.value)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gather_rows_backward_equals_add_at(dtype):
+    rng = np.random.default_rng(5)
+    x = Tensor(rng.standard_normal((50, 7)).astype(dtype), param=True)
+    idx = rng.integers(0, 40, 300)  # repeated rows, and rows 40..49 never gathered
+    up = rng.standard_normal((300, 7)).astype(dtype)
+    tape = Tape()
+    out = tape.gather_rows(x, idx)
+    tape.nodes[-1].backward(up)
+    want = np.zeros_like(x.value)
+    np.add.at(want, idx, up)
+    assert x.grad.dtype == dtype
+    assert np.array_equal(x.grad, want)
+    assert out.value.shape == (300, 7)
+
+
+def test_dropout_mask_matches_the_float64_formula():
+    x = Tensor(np.ones((64, 33), dtype=np.float32))
+    out = Tape().dropout(x, 0.3, np.random.default_rng(4), train=True)
+    want = ((np.random.default_rng(4).random(x.shape) >= 0.3) / 0.7).astype(np.float32)
+    assert out.value.dtype == np.float32
+    assert np.array_equal(out.value, want)
+
+
+def _aliasing_case(add):
+    # y reaches the output through add and through sigmoid; add runs first in
+    # backward, so y's gradient buffer starts as what add hands it and the
+    # sigmoid term is then added into that buffer in place.
+    def forward(tape, x, y):
+        p = tape.sigmoid(y)
+        return tape.hadamard(add(tape, x, y), p)
+
+    return forward
+
+
+def test_add_gives_each_input_its_own_gradient_buffer():
+    def sharing_add(tape, a, b):  # hands the same upstream array to both inputs
+        def bwd(up):
+            _accumulate(a, up)
+            _accumulate(b, up)
+
+        return tape._emit(a.value + b.value, (a, b), bwd)
+
+    rng = np.random.default_rng(8)
+    x = Tensor(rng.standard_normal((4, 3)), param=True)
+    y = Tensor(rng.standard_normal((4, 3)), param=True)
+    assert finite_difference_check([x, y], _aliasing_case(Tape.add)) < 1e-6
+    assert finite_difference_check([x, y], _aliasing_case(sharing_add)) > 1e-2

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -159,6 +161,50 @@ def test_mean_and_plain_adjacency():
     assert np.array_equal(plain, np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float))
 
 
+def _without_edges_loop(op, edges):
+    """The per-edge loop ``without_edges`` replaced, kept as its oracle."""
+    mat = op.mat.copy()
+    indptr, indices, data = mat.indptr, mat.indices, mat.data
+    for u, v in np.concatenate([edges, edges[:, ::-1]], axis=0):
+        lo, hi = indptr[u], indptr[u + 1]
+        k = lo + np.searchsorted(indices[lo:hi], v)
+        if k < hi and indices[k] == v:
+            data[k] = 0.0
+    return mat
+
+
+@pytest.mark.parametrize("build", [normalize, mean_adjacency, plain_adjacency])
+def test_without_edges_matches_the_per_edge_loop(build, rng):
+    for _ in range(10):
+        g = random_graph(rng, n_min=6, n_max=40)
+        if g.num_edges < 2:
+            continue
+        op = build(g)
+        edges = g.edge_list()[rng.permutation(g.num_edges)[:max(1, g.num_edges // 3)]]
+        absent = sample_negatives(g, 1, rng)  # a pair the operator does not store
+        batch = np.concatenate([edges, absent, edges[:1]])  # plus a repeated edge
+        masked = op.without_edges(batch)
+        want = _without_edges_loop(op, batch)
+        assert np.array_equal(masked.mat.data, want.data)
+        assert np.array_equal(masked.toarray(), want.toarray())
+        assert np.shares_memory(masked.mat.indptr, op.mat.indptr)
+        assert np.shares_memory(masked.mat.indices, op.mat.indices)
+        assert masked.symmetric == op.symmetric
+        assert np.array_equal(masked._mat32.toarray(),
+                              masked.mat.astype(np.float32).toarray())
+        x = rng.standard_normal((g.num_nodes, 3)).astype(np.float32)
+        assert np.array_equal(masked.matvec(x), masked.mat.astype(np.float32) @ x)
+        assert np.array_equal(masked.rmatvec(x), masked.mat.T.astype(np.float32) @ x)
+        # masking a masked copy zeroes the union
+        again = masked.without_edges(absent)
+        assert np.array_equal(again.mat.data, want.data)
+
+
+def test_without_edges_rejects_out_of_range_endpoints():
+    with pytest.raises(IndexError):
+        normalize(p3()).without_edges(np.array([[0, 3]]))
+
+
 def test_without_edges_zeroes_both_directions():
     g = p3()
     adj = normalize(g)
@@ -227,6 +273,34 @@ def test_split_save_load_roundtrip(tmp_path):
     assert np.array_equal(back.test_neg, split.test_neg)
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda b: b["test"].append([0, 8]), "out of range"),
+    (lambda b: b["train"].append([-1, 2]), "out of range"),
+    (lambda b: b["neg"]["valid"].append([3, 99]), "out of range"),
+    (lambda b: b["valid"].append([2, 2]), "self-pair"),
+    (lambda b: b["valid"].append(b["train"][0]), "both train and valid"),
+    (lambda b: b["test"].append(b["valid"][0][::-1]), "both valid and test"),
+    (lambda b: b["neg"].update(test=[[[[0, 5]]]]), "shape"),
+    (lambda b: b["neg"].update(valid=[[0, 5, 6]]), "shape"),
+])
+def test_split_load_rejects_bad_files(tmp_path, edit, message):
+    path = tmp_path / "split.json"
+    random_split(ten_edge_graph(), seed=4).save(path)
+    assert EdgeSplit.load(path, 8).seed == 4
+    blob = json.loads(path.read_text())
+    edit(blob)
+    path.write_text(json.dumps(blob))
+    with pytest.raises(ValueError, match=message):
+        EdgeSplit.load(path, 8)
+
+
+def test_split_load_accepts_per_source_negatives(tmp_path):
+    split = random_split(ten_edge_graph(), seed=4)
+    split.test_neg = np.array([[[0, 5], [0, 6]], [[1, 3], [1, 7]]])
+    split.save(tmp_path / "split.json")
+    assert EdgeSplit.load(tmp_path / "split.json", 8).test_neg.shape == (2, 2, 2)
+
+
 # -- negative sampling ---------------------------------------------------------
 
 def test_sample_negatives_count_zero():
@@ -256,6 +330,60 @@ def test_sample_negatives_never_returns_positives(rng):
         codes = negs[:, 0] * g.num_nodes + negs[:, 1]
         assert len(np.unique(codes)) == count  # no duplicates
         assert np.all(negs[:, 0] < negs[:, 1])
+
+
+def _sample_negatives_loop(g, count, rng, exclude=None):
+    """The set-based rejection loop ``sample_negatives`` replaced, kept as its oracle."""
+    n = g.num_nodes
+    excl = np.empty(0, dtype=np.int64)
+    if exclude is not None and len(exclude):
+        e = np.sort(np.asarray(exclude, dtype=np.int64), axis=1)
+        excl = np.unique(e[:, 0] * n + e[:, 1])
+        excl = excl[~np.isin(excl, g._pair_codes)]
+        excl = excl[excl // n != excl % n]
+    available = n * (n - 1) // 2 - g.num_edges - len(excl)
+    if count * 3 >= available:
+        iu, ju = np.triu_indices(n, k=1)
+        codes = iu.astype(np.int64) * n + ju
+        pool = codes[~np.isin(codes, g._pair_codes)]
+        pool = pool[~np.isin(pool, excl)]
+        picked = np.sort(rng.choice(pool, size=count, replace=False))
+        return np.stack([picked // n, picked % n], axis=1)
+    taken, out = set(), []
+    while len(out) < count:
+        k = max(1024, 2 * (count - len(out)))
+        u = rng.integers(0, n, k)
+        v = rng.integers(0, n, k)
+        keep = u != v
+        cand = np.minimum(u[keep], v[keep]) * n + np.maximum(u[keep], v[keep])
+        cand = cand[~np.isin(cand, g._pair_codes)]
+        cand = cand[~np.isin(cand, excl)]
+        for c in cand:
+            if int(c) not in taken:
+                taken.add(int(c))
+                out.append(int(c))
+                if len(out) == count:
+                    break
+    out = np.asarray(out, dtype=np.int64)
+    return np.stack([out // n, out % n], axis=1)
+
+
+def test_sample_negatives_matches_the_set_loop(rng):
+    for trial in range(12):
+        g = random_graph(rng, n_min=20, n_max=200, p=0.05 if trial % 2 else 0.8)
+        avail = g.num_nodes * (g.num_nodes - 1) // 2 - g.num_edges
+        exclude = g.edge_list()[:3] if trial % 3 == 0 else None
+        if trial % 3 == 1:
+            exclude = sample_negatives(g, 5, trial)
+        for count in (1, 17, 700, 5000, avail // 3 - 1, avail // 3 + 1):
+            if count > avail - (len(exclude) if exclude is not None else 0):
+                continue
+            seed = 1000 * trial + count
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = sample_negatives(g, count, a, exclude=exclude)
+            want = _sample_negatives_loop(g, count, b, exclude=exclude)
+            assert np.array_equal(got, want)
+            assert a.random() == b.random()  # same draws consumed
 
 
 def test_sample_negatives_respects_exclusions():
