@@ -30,14 +30,16 @@ def bce_loss(tape: Tape, pos_logits: Tensor | None, neg_logits: Tensor | None) -
     return tape.bce_with_logits(logits, Tensor(labels.astype(logits.dtype)))
 
 
-def train_step(model: GAEModel, batch: np.ndarray, cfg: ModelConfig,
+def train_step(model: GAEModel, batch: np.ndarray, cfg: ModelConfig, g_train: Graph,
                ops: MessageOperators, adam: Adam, rng: np.random.Generator,
                on_batch=None) -> tuple[float, int]:
     """One optimizer step on a batch of positives plus fresh negatives.
 
+    Negatives are non-edges of the train graph ``g_train``, so valid and
+    test positives can be drawn as training negatives, as in OGB and PyG.
     Returns the mean loss and the number of scored pairs.
     """
-    negs = sample_negatives(model.graph, cfg.neg_ratio * len(batch), rng)
+    negs = sample_negatives(g_train, cfg.neg_ratio * len(batch), rng)
     bops = ops.masked(batch) if cfg.mask_input else ops
     if on_batch is not None:
         on_batch(batch, bops)
@@ -52,7 +54,7 @@ def train_step(model: GAEModel, batch: np.ndarray, cfg: ModelConfig,
 
 
 def train_epoch(model: GAEModel, split: EdgeSplit, cfg: ModelConfig, *,
-                ops: MessageOperators, adam: Adam, rng: np.random.Generator,
+                g_train: Graph, ops: MessageOperators, adam: Adam, rng: np.random.Generator,
                 on_batch=None) -> float:
     """One pass over shuffled train positives; returns the mean loss."""
     m = len(split.train_pos)
@@ -60,7 +62,7 @@ def train_epoch(model: GAEModel, split: EdgeSplit, cfg: ModelConfig, *,
     total, seen = 0.0, 0
     for s in range(0, m, cfg.batch_size):
         batch = split.train_pos[perm[s:s + cfg.batch_size]]
-        loss, n = train_step(model, batch, cfg, ops, adam, rng, on_batch)
+        loss, n = train_step(model, batch, cfg, g_train, ops, adam, rng, on_batch)
         total += loss * n
         seen += n
     return total / seen
@@ -120,8 +122,8 @@ def fit(model: GAEModel, split: EdgeSplit, cfg: ModelConfig,
 
     for epoch in range(1, cfg.epochs + 1):
         t0 = time.perf_counter()
-        loss = train_epoch(model, split, cfg, ops=ops, adam=adam, rng=rng,
-                           on_batch=on_batch)
+        loss = train_epoch(model, split, cfg, g_train=g_train, ops=ops, adam=adam,
+                           rng=rng, on_batch=on_batch)
         secs = time.perf_counter() - t0
         valid = None
         if epoch % cfg.eval_every == 0:
@@ -162,6 +164,6 @@ def single_batch_step(model: GAEModel, split: EdgeSplit, cfg: ModelConfig,
     batch = split.train_pos[np.resize(np.arange(m), b)]
 
     def step() -> None:
-        train_step(model, batch, cfg, ops, adam, rng)
+        train_step(model, batch, cfg, g_train, ops, adam, rng)
 
     return step

@@ -59,17 +59,17 @@ def _epoch_setup(g, split, cfg, seed=0):
     ops = MessageOperators.build(g_train, cfg.conv)
     adam = Adam(model.params(), cfg.lr)
     rng = np.random.default_rng(seed)
-    return model, ops, adam, rng
+    return model, g_train, ops, adam, rng
 
 
 def test_zero_lr_freezes_parameters_and_loss():
     g, split = trainable_graph()
     cfg = tiny_cfg(lr=0.0)
-    model, ops, adam, _ = _epoch_setup(g, split, cfg)
+    model, g_train, ops, adam, _ = _epoch_setup(g, split, cfg)
     before = [p.value.copy() for p in model.params()]
     # replay the same sampling sequence each epoch: any loss change could
     # then only come from parameter drift
-    losses = [train_epoch(model, split, cfg, ops=ops, adam=adam,
+    losses = [train_epoch(model, split, cfg, g_train=g_train, ops=ops, adam=adam,
                           rng=np.random.default_rng(0))
               for _ in range(3)]
     for p, b in zip(model.params(), before):
@@ -81,8 +81,9 @@ def test_loss_decreases_over_first_ten_epochs(rng):
     g = random_graph(rng, n_min=50, n_max=50, p=0.15)
     split = random_split(g, seed=0)
     cfg = tiny_cfg()
-    model, ops, adam, gen = _epoch_setup(g, split, cfg)
-    losses = [train_epoch(model, split, cfg, ops=ops, adam=adam, rng=gen)
+    model, g_train, ops, adam, gen = _epoch_setup(g, split, cfg)
+    losses = [train_epoch(model, split, cfg, g_train=g_train, ops=ops, adam=adam,
+                          rng=gen)
               for _ in range(10)]
     assert np.mean(losses[-3:]) < losses[0]
 
@@ -90,10 +91,10 @@ def test_loss_decreases_over_first_ten_epochs(rng):
 def test_overfits_a_tiny_graph():
     g, split = trainable_graph(seed=1)
     cfg = tiny_cfg(hidden_dim=64, lr=1e-2)
-    model, ops, adam, gen = _epoch_setup(g, split, cfg, seed=1)
+    model, g_train, ops, adam, gen = _epoch_setup(g, split, cfg, seed=1)
     loss = None
     for _ in range(200):
-        loss = train_epoch(model, split, cfg, ops=ops, adam=adam, rng=gen)
+        loss = train_epoch(model, split, cfg, g_train=g_train, ops=ops, adam=adam, rng=gen)
     assert loss < 0.1
 
 
@@ -102,8 +103,9 @@ def test_same_seed_identical_loss_curves():
     cfg = tiny_cfg(epochs=5)
 
     def run():
-        model, ops, adam, gen = _epoch_setup(g, split, cfg, seed=2)
-        return [train_epoch(model, split, cfg, ops=ops, adam=adam, rng=gen)
+        model, g_train, ops, adam, gen = _epoch_setup(g, split, cfg, seed=2)
+        return [train_epoch(model, split, cfg, g_train=g_train, ops=ops, adam=adam,
+                            rng=gen)
                 for _ in range(5)]
 
     assert run() == run()
@@ -112,7 +114,7 @@ def test_same_seed_identical_loss_curves():
 def test_mask_input_removes_batch_edges_from_messages():
     g, split = trainable_graph(seed=3)
     cfg = tiny_cfg(mask_input=True, batch_size=8, epochs=1)
-    model, ops, adam, gen = _epoch_setup(g, split, cfg, seed=3)
+    model, g_train, ops, adam, gen = _epoch_setup(g, split, cfg, seed=3)
     checked = []
 
     def on_batch(batch, bops):
@@ -121,7 +123,8 @@ def test_mask_input_removes_batch_edges_from_messages():
             assert dense[u, v] == 0.0 and dense[v, u] == 0.0
         checked.append(len(batch))
 
-    train_epoch(model, split, cfg, ops=ops, adam=adam, rng=gen, on_batch=on_batch)
+    train_epoch(model, split, cfg, g_train=g_train, ops=ops, adam=adam, rng=gen,
+                on_batch=on_batch)
     assert sum(checked) == len(split.train_pos)
     # the shared operator itself is never mutated
     assert ops.norm.mat.data.min() > 0.0
@@ -130,11 +133,30 @@ def test_mask_input_removes_batch_edges_from_messages():
 def test_unmasked_training_passes_full_operator():
     g, split = trainable_graph(seed=4)
     cfg = tiny_cfg(mask_input=False, epochs=1)
-    model, ops, adam, gen = _epoch_setup(g, split, cfg, seed=4)
+    model, g_train, ops, adam, gen = _epoch_setup(g, split, cfg, seed=4)
     seen = []
-    train_epoch(model, split, cfg, ops=ops, adam=adam, rng=gen,
+    train_epoch(model, split, cfg, g_train=g_train, ops=ops, adam=adam, rng=gen,
                 on_batch=lambda b, o: seen.append(o is ops))
     assert all(seen)
+
+
+def test_training_negatives_come_from_the_train_graph(monkeypatch):
+    import linkgae.train as train_mod
+
+    g, split = trainable_graph(seed=6)
+    cfg = tiny_cfg(epochs=2, eval_every=1, batch_size=64)
+    sampled_from = []
+    real = train_mod.sample_negatives
+
+    def spy(graph, count, rng, exclude=None):
+        sampled_from.append(graph.num_edges)
+        return real(graph, count, rng, exclude)
+
+    monkeypatch.setattr(train_mod, "sample_negatives", spy)
+    fit(GAEModel(g, cfg, seed=6), split, cfg, seed=6)
+    single_batch_step(GAEModel(g, cfg, seed=6), split, cfg)()
+    assert len(sampled_from) == 2 * -(-len(split.train_pos) // 64) + 1
+    assert set(sampled_from) == {len(split.train_pos)} != {g.num_edges}
 
 
 # -- fit -----------------------------------------------------------------------
