@@ -151,9 +151,10 @@ class Tape:
         def bwd(up):
             if a.tracked:
                 _accumulate(a, up)
-            if b.tracked:
-                _accumulate(b, up.sum(axis=0, keepdims=True) if row_broadcast
-                            else up.copy() if a.tracked else up)
+            if b.tracked and row_broadcast:
+                _accumulate(b, up.sum(axis=0, keepdims=True))
+            elif b.tracked:
+                _accumulate(b, up.copy() if a.tracked else up)
 
         return self._emit(val, (a, b), bwd)
 

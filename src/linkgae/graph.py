@@ -319,8 +319,9 @@ class EdgeSplit:
         Path(path).write_text(json.dumps(blob))
 
     @classmethod
-    def load(cls, path: str | Path, num_nodes: int | None = None) -> "EdgeSplit":
-        """Read a split written by ``save``; ``validate`` checks it on the way in."""
+    def load(cls, path: str | Path, num_nodes: int) -> "EdgeSplit":
+        """Read a split written by ``save`` for a graph on ``num_nodes`` nodes;
+        ``validate`` checks it on the way in."""
         blob = json.loads(Path(path).read_text())
         split = cls(
             train_pos=np.asarray(blob["train"], dtype=np.int64).reshape(-1, 2),
@@ -333,12 +334,13 @@ class EdgeSplit:
         split.validate(num_nodes)
         return split
 
-    def validate(self, num_nodes: int | None = None) -> None:
-        """Raise ValueError for a malformed or leaky split.
+    def validate(self, num_nodes: int) -> None:
+        """Raise ValueError for a malformed or leaky split of a graph on
+        ``num_nodes`` nodes.
 
-        Rejects node ids below 0 or (given ``num_nodes``) at or above it,
-        self-pairs, positives shared between train, valid and test, and
-        negatives shaped other than (m, 2) or (m, k, 2).
+        Rejects node ids outside [0, num_nodes), self-pairs, positives shared
+        between train, valid and test, and negatives shaped other than (m, 2)
+        or (m, k, 2).
         """
         positives = {"train": self.train_pos, "valid": self.valid_pos, "test": self.test_pos}
         named = {**positives, "valid negatives": self.valid_neg,
@@ -349,21 +351,19 @@ class EdgeSplit:
                                or pairs.shape[-1] != 2):
                 shapes = "(m, 2) or (m, k, 2)" if negative else "(m, 2)"
                 raise ValueError(f"split {name}: shape {pairs.shape} is not {shapes}")
-            if pairs.size and (pairs.min() < 0
-                               or (num_nodes is not None and pairs.max() >= num_nodes)):
+            if pairs.size and (pairs.min() < 0 or pairs.max() >= num_nodes):
                 raise ValueError(f"split {name}: node id out of range [0, {num_nodes}): "
                                  f"{pairs.min()} .. {pairs.max()}")
             flat = pairs.reshape(-1, 2)
             loops = flat[:, 0] == flat[:, 1]
             if loops.any():
                 raise ValueError(f"split {name}: self-pair {flat[loops][0].tolist()}")
-        n = 1 + max([int(p.max()) for p in named.values() if p.size], default=0)
-        codes = {name: np.unique(_codes(pairs, n)) for name, pairs in positives.items()}
+        codes = {name: np.unique(_codes(pairs, num_nodes)) for name, pairs in positives.items()}
         for a, b in (("train", "valid"), ("train", "test"), ("valid", "test")):
             shared = np.intersect1d(codes[a], codes[b], assume_unique=True)
             if len(shared):
                 raise ValueError(f"split: {len(shared)} positive(s) in both {a} and {b}, "
-                                 f"e.g. {_decode(shared[:1], n)[0].tolist()}")
+                                 f"e.g. {_decode(shared[:1], num_nodes)[0].tolist()}")
 
 
 def random_split(g: Graph, ratios: tuple[float, float, float] = (0.7, 0.1, 0.2),

@@ -71,7 +71,7 @@ def test_train_is_bit_deterministic(tmp_path):
 def test_train_with_split_file(tmp_path):
     split_path = tmp_path / "split.json"
     assert run(["split", "--dataset", TINY, "--out", str(split_path)]) == 0
-    split = EdgeSplit.load(split_path)
+    split = EdgeSplit.load(split_path, 100)
     assert len(split.train_pos) > 0
     rc = run(["train", "--dataset", TINY, "--seeds", "1", "--set", FAST,
               "--split-file", str(split_path), "--out-dir", str(tmp_path / "runs")])
@@ -189,7 +189,7 @@ def test_bench_reports_times_and_csv(tmp_path, capsys):
 def test_split_roundtrip(tmp_path):
     out = tmp_path / "split.json"
     assert run(["split", "--dataset", TINY, "--out", str(out), "--seed", "3"]) == 0
-    split = EdgeSplit.load(out)
+    split = EdgeSplit.load(out, 100)
     assert split.seed == 3
     total = len(split.train_pos) + len(split.valid_pos) + len(split.test_pos)
     assert total > 0

@@ -267,7 +267,7 @@ def test_split_save_load_roundtrip(tmp_path):
     split = random_split(ten_edge_graph(), seed=4)
     path = tmp_path / "split.json"
     split.save(path)
-    back = EdgeSplit.load(path)
+    back = EdgeSplit.load(path, 8)
     assert back.seed == 4
     assert np.array_equal(back.train_pos, split.train_pos)
     assert np.array_equal(back.test_neg, split.test_neg)
