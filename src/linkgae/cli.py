@@ -28,7 +28,7 @@ from .config import (ModelConfig, PRESETS, apply_overrides, config_hash,
                      preset)
 from .engine import gradient_check_all
 from .evaluation import (MetricSpec, bench_batch, cn_equivalence_sweep,
-                         loglog_slope, model_gradient_check,
+                         heuristic_product_sweep, loglog_slope, model_gradient_check,
                          orthogonality_stats, verify_cn_equivalence)
 from .graph import EdgeSplit, Graph, load_graph, random_split
 from .heuristics import heuristic_eval, structure_feature_report
@@ -258,6 +258,11 @@ def cmd_verify(args) -> int:
     dev = cn_equivalence_sweep(num_graphs=args.graphs)
     check("common-neighbor equivalence", dev < 1e-9,
           f"max deviation {dev:.2e} over {args.graphs} graphs, k in 1..3")
+    dev = heuristic_product_sweep(num_graphs=args.graphs)
+    check("heuristics vs sparse product",
+          dev["cn"] == 0.0 and dev["aa"] <= 1e-12 and dev["ra"] <= 1e-12,
+          f"max deviation CN {dev['cn']:.0e} (exact), AA {dev['aa']:.2e}, "
+          f"RA {dev['ra']:.2e} (<= 1e-12) over {args.graphs} graphs")
     rng = np.random.default_rng(0)
     narrow = orthogonal_rows(24, 64, rng)
     m, _ = orthogonality_stats(narrow)

@@ -10,6 +10,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .config import ModelConfig
 from .engine import Tape, finite_difference_check
@@ -138,18 +139,50 @@ def verify_cn_equivalence(g: Graph, k: int, d: int | None = None,
     return float(np.max(np.abs(dots - oracle)))
 
 
-def cn_equivalence_sweep(num_graphs: int = 50, max_nodes: int = 20,
-                         ks: tuple[int, ...] = (1, 2, 3), seed: int = 123) -> float:
-    """Worst common-neighbor-equivalence deviation over random graphs."""
+def sweep_graphs(num_graphs: int = 50, max_nodes: int = 20, seed: int = 123):
+    """The random graphs the verify sweeps draw: 3 to max_nodes nodes each."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
     for _ in range(num_graphs):
         n = int(rng.integers(3, max_nodes + 1))
         iu, ju = np.triu_indices(n, k=1)
         keep = rng.random(len(iu)) < rng.uniform(0.1, 0.5)
-        g = Graph.from_edges(n, np.stack([iu[keep], ju[keep]], axis=1))
+        yield Graph.from_edges(n, np.stack([iu[keep], ju[keep]], axis=1))
+
+
+def cn_equivalence_sweep(num_graphs: int = 50, max_nodes: int = 20,
+                         ks: tuple[int, ...] = (1, 2, 3), seed: int = 123) -> float:
+    """Worst common-neighbor-equivalence deviation over random graphs."""
+    worst = 0.0
+    for g in sweep_graphs(num_graphs, max_nodes, seed):
         for k in ks:
             worst = max(worst, verify_cn_equivalence(g, k))
+    return worst
+
+
+def heuristic_product_sweep(num_graphs: int = 50, max_nodes: int = 20,
+                            seed: int = 123) -> dict[str, float]:
+    """Worst |score_edges - (A diag(w) A)_uv| per structural heuristic.
+
+    Checks every ordered pair u != v of the sweep's graphs against the scipy
+    product with w = 1 (CN), 1/ln deg (AA) and 1/deg (RA). Only nodes of
+    degree >= 2 can be shared by two distinct nodes, so the rest weigh 0.
+    """
+    from .heuristics import score_edges  # heuristics imports this module
+
+    worst = {"cn": 0.0, "aa": 0.0, "ra": 0.0}
+    for g in sweep_graphs(num_graphs, max_nodes, seed):
+        n = g.num_nodes
+        a = sp.csr_matrix((np.ones(len(g.indices)), g.indices, g.indptr), shape=(n, n))
+        deg = g.degrees
+        shareable = deg >= 2
+        aa, ra = np.zeros(n), np.zeros(n)
+        aa[shareable] = 1.0 / np.log(deg[shareable])
+        ra[shareable] = 1.0 / deg[shareable]
+        pairs = np.argwhere(~np.eye(n, dtype=bool))
+        for which, w in (("cn", np.ones(n)), ("aa", aa), ("ra", ra)):
+            want = (a @ sp.diags(w) @ a).toarray()[pairs[:, 0], pairs[:, 1]]
+            dev = np.max(np.abs(score_edges(g, pairs, which) - want))
+            worst[which] = max(worst[which], float(dev))
     return worst
 
 

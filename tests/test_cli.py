@@ -174,6 +174,21 @@ def test_verify_fails_on_injected_bad_gradient(capsys, monkeypatch):
         monkeypatch.setattr(engine.Tape, "spmm", original)
 
 
+def test_verify_fails_on_wrong_heuristic_weight(capsys, monkeypatch):
+    # negative control: RA weights 1% too large must flip the sparse-product check
+    from linkgae import heuristics
+
+    original = heuristics.score_edges
+
+    def skewed(g, edges, which):
+        out = original(g, edges, which)
+        return out * 1.01 if which == "ra" else out
+
+    monkeypatch.setattr(heuristics, "score_edges", skewed)
+    assert run(["verify", "--graphs", "2"]) == 1
+    assert "[FAIL] heuristics vs sparse product" in capsys.readouterr().out
+
+
 def test_bench_reports_times_and_csv(tmp_path, capsys):
     csv = tmp_path / "bench.csv"
     rc = run(["bench", "--dataset", TINY, "--dims", "8,16",

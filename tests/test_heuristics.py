@@ -3,8 +3,7 @@ import pytest
 
 from linkgae.evaluation import MetricSpec
 from linkgae.graph import EdgeSplit, Graph
-from linkgae.heuristics import (adamic_adar, common_neighbors, heuristic_eval,
-                                resource_allocation, score_edges,
+from linkgae.heuristics import (PAIR_CHUNK, heuristic_eval, score_edges,
                                 structure_feature_report)
 from tests.conftest import random_graph
 
@@ -17,52 +16,105 @@ def k3() -> Graph:
     return Graph.from_edges(3, np.array([[0, 1], [1, 2], [0, 2]]))
 
 
+def one(g: Graph, u: int, v: int, which: str) -> float:
+    return float(score_edges(g, np.array([[u, v]]), which)[0])
+
+
 def test_p3_values():
     g = p3()
-    assert common_neighbors(g, 0, 2) == 1.0
-    assert abs(adamic_adar(g, 0, 2) - 1.0 / np.log(2.0)) < 1e-12
-    assert resource_allocation(g, 0, 2) == 0.5
+    assert one(g, 0, 2, "cn") == 1.0
+    assert abs(one(g, 0, 2, "aa") - 1.0 / np.log(2.0)) < 1e-12
+    assert one(g, 0, 2, "ra") == 0.5
 
 
 def test_isolated_nodes_score_zero():
     g = Graph.from_edges(4, np.array([[0, 1]]))
-    assert common_neighbors(g, 2, 3) == 0.0
-    assert adamic_adar(g, 2, 3) == 0.0
-    assert resource_allocation(g, 2, 3) == 0.0
+    for which in ("cn", "aa", "ra"):
+        assert one(g, 2, 3, which) == 0.0
 
 
 def test_k3_common_neighbor():
-    assert common_neighbors(k3(), 0, 1) == 1.0
+    assert one(k3(), 0, 1, "cn") == 1.0
 
 
 def test_same_node_is_degree():
-    assert common_neighbors(k3(), 1, 1) == 2.0
+    assert one(k3(), 1, 1, "cn") == 2.0
+
+
+def set_oracle(g: Graph, pairs: np.ndarray, which: str) -> np.ndarray:
+    """One Python set intersection per pair, summed in ascending neighbor order."""
+    nbrs = [set(g.neighbors(u).tolist()) for u in range(g.num_nodes)]
+    weight = {"cn": lambda d: 1.0, "aa": lambda d: 1.0 / np.log(d), "ra": lambda d: 1.0 / d}[which]
+    flat = pairs.reshape(-1, 2)
+    out = [sum(weight(g.degrees[r]) for r in sorted(nbrs[u] & nbrs[v])) for u, v in flat]
+    return np.array(out, dtype=np.float64).reshape(pairs.shape[:-1])
 
 
 def test_structural_heuristics_match_set_oracle(rng):
+    # Whole batches over random graphs: sparse graphs leave isolated nodes,
+    # draws repeat pairs, and CN also sees u == v (AA is undefined there when
+    # u has a degree-1 neighbor, so AA and RA get u != v).
+    isolated = 0
     for _ in range(20):
         g = random_graph(rng, n_min=5, n_max=30)
-        nbrs = [set(g.neighbors(u).tolist()) for u in range(g.num_nodes)]
-        deg = g.degrees
-        for _ in range(10):
-            u, v = rng.integers(0, g.num_nodes, 2)
-            if u == v:
-                continue
-            shared = nbrs[int(u)] & nbrs[int(v)]
-            assert common_neighbors(g, u, v) == len(shared)
-            aa = sum(1.0 / np.log(deg[r]) for r in shared)
-            ra = sum(1.0 / deg[r] for r in shared)
-            assert abs(adamic_adar(g, u, v) - aa) < 1e-12
-            assert abs(resource_allocation(g, u, v) - ra) < 1e-12
+        isolated += int(np.sum(g.degrees == 0))
+        n = g.num_nodes
+        pairs = rng.integers(0, n, (40, 2))
+        pairs[:5, 1] = pairs[:5, 0]
+        pairs[5:10] = pairs[10:15]
+        assert np.array_equal(score_edges(g, pairs, "cn"), set_oracle(g, pairs, "cn"))
+        distinct = pairs[pairs[:, 0] != pairs[:, 1]]
+        per_source = rng.integers(0, n - 1, (6, 4, 2))
+        per_source[..., 1] += per_source[..., 1] >= per_source[..., 0]
+        for which in ("aa", "ra"):
+            for batch in (distinct, per_source):
+                got = score_edges(g, batch, which)
+                assert got.shape == batch.shape[:-1]
+                np.testing.assert_allclose(got, set_oracle(g, batch, which), rtol=1e-12, atol=0)
+        got = score_edges(g, per_source, "cn")
+        assert got.shape == (6, 4)
+        assert np.array_equal(got, set_oracle(g, per_source, "cn"))
+    assert isolated > 0
+
+
+@pytest.mark.parametrize("which", ["cn", "aa", "ra", "cos"])
+@pytest.mark.parametrize("shape", [(0, 2), (0, 5, 2)])
+def test_empty_pools_keep_their_shape(which, shape):
+    g = p3(np.ones((3, 2)))
+    got = score_edges(g, np.empty(shape, dtype=np.int64), which)
+    assert got.shape == shape[:-1] and got.dtype == np.float64
+
+
+def test_more_pairs_than_one_chunk_score_like_each_chunk(rng):
+    g = random_graph(rng, n_min=80, n_max=80, p=0.2)
+    pairs = rng.integers(0, g.num_nodes, (2 * PAIR_CHUNK + 123, 2))
+    for which in ("cn", "ra"):
+        whole = score_edges(g, pairs, which)
+        pieces = [score_edges(g, pairs[s:s + PAIR_CHUNK], which)
+                  for s in range(0, len(pairs), PAIR_CHUNK)]
+        assert np.array_equal(whole, np.concatenate(pieces))
+        assert np.array_equal(whole[-200:], set_oracle(g, pairs[-200:], which))
 
 
 def test_symmetry_in_u_v(rng):
-    g = random_graph(rng, n_min=10, n_max=30)
-    for _ in range(20):
-        u, v = rng.integers(0, g.num_nodes, 2)
-        assert common_neighbors(g, u, v) == common_neighbors(g, v, u)
-        assert adamic_adar(g, u, v) == adamic_adar(g, v, u)
-        assert resource_allocation(g, u, v) == resource_allocation(g, v, u)
+    # Dense graphs give long shared lists, where summation order shows.
+    for _ in range(5):
+        g = random_graph(rng, n_min=40, n_max=60, p=0.6)
+        pairs = rng.integers(0, g.num_nodes, (200, 2))
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        for which in ("cn", "aa", "ra"):
+            assert np.array_equal(score_edges(g, pairs, which),
+                                  score_edges(g, pairs[:, ::-1], which))
+
+
+def test_adamic_adar_rejects_self_pair_with_degree_one_neighbor():
+    # (1, 1) shares all of N(1) = {0, 2} with itself, and both have degree 1,
+    # so 1/ln deg is 1/0; the batch must fail naming the pair, not score it.
+    g = p3()
+    with pytest.raises(ValueError, match=r"self-pair \(1, 1\)"):
+        score_edges(g, np.array([[0, 2], [1, 1]]), "aa")
+    assert one(k3(), 1, 1, "aa") == 2.0 / np.log(2.0)  # degree-2 neighbors are fine
+    assert one(g, 1, 1, "ra") == 2.0
 
 
 def test_feature_cosine_values():
@@ -114,8 +166,8 @@ def test_heuristic_eval_uses_train_graph_only():
     # (1,2) is an edge of g but not of the train graph; its CN score must
     # come from the train graph's neighborhoods (hub only).
     g_train = Graph.from_edges(g.num_nodes, split.train_pos)
-    assert common_neighbors(g_train, 1, 2) == 1.0
-    assert common_neighbors(g, 1, 2) == 1.0  # full graph agrees here
+    assert one(g_train, 1, 2, "cn") == 1.0
+    assert one(g, 1, 2, "cn") == 1.0  # full graph agrees here
     assert heuristic_eval(g, split, "cn", MetricSpec.parse("hits@1")) == 1.0
 
 
@@ -147,6 +199,21 @@ def test_index_featureless_fallback_and_range(rng):
         split = random_split(g, seed=1)
         idx = structure_feature_report(g, split, metric)["index"]
         assert 0.0 <= idx < 1.0
+
+
+def test_report_builds_the_train_graph_once(monkeypatch):
+    g, split = separable_graph_split()
+    calls = []
+    build = Graph.from_edges.__func__
+
+    def counting(cls, *args, **kwargs):
+        calls.append(args[1])
+        return build(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Graph, "from_edges", classmethod(counting))
+    report = structure_feature_report(g, split, MetricSpec.parse("hits@1"))
+    assert len(calls) == 1 and np.array_equal(calls[0], split.train_pos)
+    assert report["p_structure"] == 1.0 and report["p_feature"] == 1.0
 
 
 def test_report_carries_graph_statistics():
