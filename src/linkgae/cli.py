@@ -1,7 +1,8 @@
 """Command-line entry point: train, ablate, sweep, index, heuristic, verify,
 bench, split.
 
-Exit codes: 0 success, 1 check failure, 2 usage/config error.
+Exit codes: 0 success, 1 check failure or non-finite training loss, 2
+usage/config error.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from .config import (ModelConfig, PRESETS, apply_overrides, config_hash,
 from .engine import gradient_check_all
 from .evaluation import (MetricSpec, bench_batch, cn_equivalence_sweep,
                          heuristic_product_sweep, loglog_slope, model_gradient_check,
-                         orthogonality_stats, verify_cn_equivalence)
+                         orthogonality_stats, unrolled_encoder_deviation,
+                         verify_cn_equivalence)
 from .graph import EdgeSplit, Graph, load_graph, random_split
 from .heuristics import heuristic_eval, structure_feature_report
 from .model import GAEModel, orthogonal_rows
@@ -255,6 +257,14 @@ def cmd_verify(args) -> int:
     for conv in ("gcn", "sage", "gin"):
         err = model_gradient_check(conv)
         check(f"gradient full model ({conv})", err < 1e-4, f"rel err {err:.2e}")
+    for conv in ("gcn", "sage"):
+        err = model_gradient_check(conv, input_mode="raw")
+        check(f"gradient full model ({conv}, raw features propagated)", err < 1e-4,
+              f"rel err {err:.2e}")
+    dev = unrolled_encoder_deviation()
+    check("unrolled encoder identity", dev <= 1e-12,
+          f"max |dz| {dev:.2e} against the layer-wise loop (<= 1e-12), "
+          "gcn/sage, 1-4 layers, residual on/off, plain/masked")
     dev = cn_equivalence_sweep(num_graphs=args.graphs)
     check("common-neighbor equivalence", dev < 1e-9,
           f"max deviation {dev:.2e} over {args.graphs} graphs, k in 1..3")
@@ -382,6 +392,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except FloatingPointError as exc:  # a non-finite loss: the run failed, not its usage
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, KeyError, FileNotFoundError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

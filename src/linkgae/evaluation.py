@@ -6,6 +6,7 @@ counts as ranked below it.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 
@@ -186,22 +187,29 @@ def heuristic_product_sweep(num_graphs: int = 50, max_nodes: int = 20,
     return worst
 
 
+def _feature_graph(rng: np.random.Generator, n: int, p: float = 0.35,
+                   features: int = 5) -> Graph:
+    iu, ju = np.triu_indices(n, k=1)
+    keep = rng.random(len(iu)) < p
+    feats = rng.standard_normal((n, features))
+    return Graph.from_edges(n, np.stack([iu[keep], ju[keep]], axis=1), feats)
+
+
 def model_gradient_check(conv: str = "gcn", seed: int = 0, n: int = 12,
-                         h: float = 1e-5) -> float:
+                         h: float = 1e-5, input_mode: str = "raw-plus-learnable") -> float:
     """Finite-difference check of the full training loss wrt every parameter.
 
-    Builds a small 64-bit model (raw features + learnable table, residuals,
-    dropout, output normalization) on a random graph and compares analytic
-    gradients against central differences, returning the max relative error.
+    Builds a small 64-bit model (5 raw features into ``input_mode``,
+    residuals, dropout, output normalization) on a random graph and compares
+    analytic gradients against central differences, returning the max
+    relative error. ``input_mode="raw"`` with gcn or sage checks the
+    propagated-feature encoder.
     """
     from .train import bce_loss
 
     rng = np.random.default_rng(seed)
-    iu, ju = np.triu_indices(n, k=1)
-    keep = rng.random(len(iu)) < 0.35
-    feats = rng.standard_normal((n, 5))
-    g = Graph.from_edges(n, np.stack([iu[keep], ju[keep]], axis=1), feats)
-    cfg = ModelConfig(input_mode="raw-plus-learnable", conv=conv, mpnn_layers=2,
+    g = _feature_graph(rng, n)
+    cfg = ModelConfig(input_mode=input_mode, conv=conv, mpnn_layers=2,
                       hidden_dim=8, mlp_layers=2, dropout=0.3,
                       normalize_embeddings=True, batch_size=8, dtype="float64",
                       metric="hits@1")
@@ -221,6 +229,34 @@ def model_gradient_check(conv: str = "gcn", seed: int = 0, n: int = 12,
         return bce_loss(tape, lp, ln)
 
     return finite_difference_check(model.params(), loss, h=h)
+
+
+def unrolled_encoder_deviation(seed: int = 0, n: int = 16) -> float:
+    """Max |z| difference between ``Encoder.forward_propagated`` and the
+    layer-wise loop, in float64.
+
+    Covers gcn and sage, 1-4 layers, the residual on and off, and the plain
+    and a masked operator, each with fresh Gaussian weights scaled by
+    1/sqrt(rows) on one random 16-node graph with 5 features.
+    """
+    rng = np.random.default_rng(seed)
+    g = _feature_graph(rng, n, p=0.3)
+    worst = 0.0
+    for conv, masked, layers, residual in itertools.product(
+            ("gcn", "sage"), (False, True), range(1, 5), (True, False)):
+        ops = MessageOperators.build(g, conv)
+        if masked:
+            ops = ops.masked(g.edge_list()[::3])
+        cfg = ModelConfig(input_mode="raw", conv=conv, mpnn_layers=layers, hidden_dim=8,
+                          encoder_residual=residual, dtype="float64")
+        model = GAEModel(g, cfg, seed=seed)
+        for p in model.params():
+            p.value = rng.standard_normal(p.shape) / np.sqrt(p.shape[0])
+        tape = Tape(record=False)
+        looped = model.encoder.forward(tape, ops, model.input.forward(tape))
+        unrolled = model.encode(tape, ops)
+        worst = max(worst, float(np.max(np.abs(unrolled.value - looped.value))))
+    return worst
 
 
 def bench_batch(model, split, cfg, batch_size: int | None = None,

@@ -87,6 +87,11 @@ class Graph:
                 raise ValueError(
                     f"feature rows ({features.shape[0] if features.ndim == 2 else '?'}) "
                     f"must equal num_nodes ({num_nodes})")
+            finite = np.isfinite(features).all(axis=1)
+            if not finite.all():
+                row = int(np.argmin(finite))
+                raise ValueError(f"feature row {row} is not finite: "
+                                 f"{features[row][~np.isfinite(features[row])][0]}")
         return cls(num_nodes, indptr, both[:, 1].copy(), features, dropped, codes)
 
     @property

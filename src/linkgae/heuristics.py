@@ -53,13 +53,18 @@ def _structural(g: Graph, pairs: np.ndarray, which: str) -> np.ndarray:
 def score_edges(g: Graph, edges: np.ndarray, which: str) -> np.ndarray:
     """Score pairs of shape (..., 2) with one heuristic; returns shape (...).
 
-    Cosine scores zero-vector rows as 0.
+    Cosine scores zero-vector rows as 0. A node id outside [0, n) raises
+    ValueError naming the first such pair.
     """
     which = which.lower()
     if which not in HEURISTICS:
         raise ValueError(f"unknown heuristic {which!r}; choose from {HEURISTICS}")
     edges = np.asarray(edges, dtype=np.int64)
     flat = edges.reshape(-1, 2)
+    n = g.num_nodes
+    if flat.size and (flat.min() < 0 or flat.max() >= n):
+        bad = flat[((flat < 0) | (flat >= n)).any(axis=1)][0]
+        raise ValueError(f"pair {bad.tolist()} has a node id outside [0, {n})")
     if which == "cos":
         x = g.features
         if x is None:

@@ -2,7 +2,9 @@
 
 The encoder stacks GCN/SAGE/GIN convolutions without inter-layer
 activations by default and adds the layer-0 representation back after
-every layer (initial residual). The decoder scores node pairs either by
+every layer (initial residual). On raw features a linear GCN/SAGE encoder
+is computed as propagated features times one product of its weights
+(``Encoder.forward_propagated``). The decoder scores node pairs either by
 dot product or with a residual MLP over the Hadamard product of the
 endpoint embeddings.
 """
@@ -196,9 +198,47 @@ class Encoder:
             if not self.cfg.linear_encoder and l < last:
                 c = tape.relu(c)
             z = tape.add(c, z0) if self.cfg.encoder_residual else c
-        if self.cfg.normalize_embeddings:
-            z = tape.l2_normalize(z)
-        return z
+        return tape.l2_normalize(z) if self.cfg.normalize_embeddings else z
+
+    def forward_propagated(self, tape: Tape, ops: MessageOperators, x: np.ndarray,
+                           w_proj: Tensor) -> Tensor:
+        """The linear GCN/SAGE encoder on raw features x, as one GEMM.
+
+        With z_0 = x W_proj and z_l = M z_{l-1} W_neigh,l + z_{l-1} W_self,l
+        (+ z_0 with the residual), z_L = sum_k (M^k x) C_k exactly. The
+        features are propagated as constants (no tape node, no backward);
+        only the f x d coefficients C_k are built on the tape, by
+        C_k <- C_k W_self,l + C_{k-1} W_neigh,l (+ W_proj for k = 0).
+        Coefficients known to be zero are skipped.
+        """
+        op = ops.norm if self.cfg.conv == "gcn" else ops.mean
+        feats = [x]
+        for _ in self.layers:
+            feats.append(op.matvec(feats[-1]))
+        coef: list[Tensor | None] = [w_proj]
+        for layer in self.layers:
+            w_self = layer.get("w_self")  # gcn has none
+            w_neigh = layer["w"] if self.cfg.conv == "gcn" else layer["w_neigh"]
+            nxt = []
+            for k in range(len(coef) + 1):
+                terms = []
+                if k < len(coef) and coef[k] is not None and w_self is not None:
+                    terms.append(tape.matmul(coef[k], w_self))
+                if k > 0 and coef[k - 1] is not None:
+                    terms.append(tape.matmul(coef[k - 1], w_neigh))
+                if k == 0 and self.cfg.encoder_residual:
+                    terms.append(w_proj)
+                c = terms[0] if terms else None
+                for t in terms[1:]:
+                    c = tape.add(c, t)
+                nxt.append(c)
+            coef = nxt
+        keep = [k for k, c in enumerate(coef) if c is not None]
+        stacked = coef[keep[0]]
+        for k in keep[1:]:
+            stacked = tape.concat_rows(stacked, coef[k])
+        z = tape.matmul(Tensor(np.concatenate([feats[k] for k in keep], axis=1)), stacked)
+        return tape.l2_normalize(z) if self.cfg.normalize_embeddings else z
 
 
 class Decoder:
@@ -264,7 +304,20 @@ class GAEModel:
     def named_params(self) -> dict[str, Tensor]:
         return {p.name: p for p in self.params()}
 
+    @property
+    def propagates_features(self) -> bool:
+        """Whether ``encode`` runs ``Encoder.forward_propagated``: raw input,
+        a linear GCN/SAGE encoder, and features no wider than the hidden
+        width, where propagating the features is cheaper than the layers."""
+        cfg = self.cfg
+        return (cfg.input_mode == "raw" and cfg.linear_encoder
+                and cfg.conv in ("gcn", "sage")
+                and self.input.raw.shape[1] <= cfg.hidden_dim)
+
     def encode(self, tape: Tape, ops: MessageOperators) -> Tensor:
+        if self.propagates_features:
+            return self.encoder.forward_propagated(tape, ops, self.input.raw.value,
+                                                   self.input.w_proj)
         return self.encoder.forward(tape, ops, self.input.forward(tape))
 
     def decode(self, tape: Tape, z: Tensor, edges: np.ndarray, train: bool = False,

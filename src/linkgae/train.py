@@ -32,12 +32,14 @@ def bce_loss(tape: Tape, pos_logits: Tensor | None, neg_logits: Tensor | None) -
 
 def train_step(model: GAEModel, batch: np.ndarray, cfg: ModelConfig, g_train: Graph,
                ops: MessageOperators, adam: Adam, rng: np.random.Generator,
-               on_batch=None) -> tuple[float, int]:
+               on_batch=None, *, epoch: int = 0, step: int = 0) -> tuple[float, int]:
     """One optimizer step on a batch of positives plus fresh negatives.
 
     Negatives are non-edges of the train graph ``g_train``, so valid and
     test positives can be drawn as training negatives, as in OGB and PyG.
-    Returns the mean loss and the number of scored pairs.
+    Returns the mean loss and the number of scored pairs. A non-finite loss
+    raises FloatingPointError naming ``epoch`` and ``step``, before any
+    parameter is updated.
     """
     negs = sample_negatives(g_train, cfg.neg_ratio * len(batch), rng)
     bops = ops.masked(batch) if cfg.mask_input else ops
@@ -48,6 +50,9 @@ def train_step(model: GAEModel, batch: np.ndarray, cfg: ModelConfig, g_train: Gr
     logits_pos = model.decode(tape, z, batch, train=True, rng=rng)
     logits_neg = model.decode(tape, z, negs, train=True, rng=rng)
     loss = bce_loss(tape, logits_pos, logits_neg)
+    if not np.isfinite(loss.item()):
+        raise FloatingPointError(
+            f"non-finite training loss {loss.item()} at epoch {epoch}, step {step}")
     tape.backward(loss)
     adam.step()
     return loss.item(), len(batch) + len(negs)
@@ -55,14 +60,15 @@ def train_step(model: GAEModel, batch: np.ndarray, cfg: ModelConfig, g_train: Gr
 
 def train_epoch(model: GAEModel, split: EdgeSplit, cfg: ModelConfig, *,
                 g_train: Graph, ops: MessageOperators, adam: Adam, rng: np.random.Generator,
-                on_batch=None) -> float:
+                on_batch=None, epoch: int = 0) -> float:
     """One pass over shuffled train positives; returns the mean loss."""
     m = len(split.train_pos)
     perm = rng.permutation(m)
     total, seen = 0.0, 0
-    for s in range(0, m, cfg.batch_size):
+    for step, s in enumerate(range(0, m, cfg.batch_size), 1):
         batch = split.train_pos[perm[s:s + cfg.batch_size]]
-        loss, n = train_step(model, batch, cfg, g_train, ops, adam, rng, on_batch)
+        loss, n = train_step(model, batch, cfg, g_train, ops, adam, rng, on_batch,
+                             epoch=epoch, step=step)
         total += loss * n
         seen += n
     return total / seen
@@ -123,7 +129,7 @@ def fit(model: GAEModel, split: EdgeSplit, cfg: ModelConfig,
     for epoch in range(1, cfg.epochs + 1):
         t0 = time.perf_counter()
         loss = train_epoch(model, split, cfg, g_train=g_train, ops=ops, adam=adam,
-                           rng=rng, on_batch=on_batch)
+                           rng=rng, on_batch=on_batch, epoch=epoch)
         secs = time.perf_counter() - t0
         valid = None
         if epoch % cfg.eval_every == 0:

@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -221,3 +222,50 @@ def test_leaky_split_file_exits_2(tmp_path, capsys):
               "--set", "epochs=2,eval_every=1", "--out-dir", str(tmp_path / "runs")])
     assert rc == 2
     assert "split" in capsys.readouterr().err
+
+
+def test_non_finite_loss_exits_1_with_one_line(capsys, monkeypatch, tmp_path):
+    from linkgae import train
+    from linkgae.engine import Tensor
+
+    def nan_loss(tape, pos, neg):
+        return tape.add(original(tape, pos, neg), Tensor(np.array([[np.nan]])))
+
+    original = train.bce_loss
+    monkeypatch.setattr(train, "bce_loss", nan_loss)
+    rc = run(["train", "--dataset", TINY, "--set", FAST, "--out-dir", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == "error: non-finite training loss nan at epoch 1, step 1\n"
+
+
+def test_non_finite_feature_file_exits_2(tmp_path, capsys):
+    (tmp_path / "edges.txt").write_text("0 1\n1 2\n2 3\n")
+    (tmp_path / "features.csv").write_text("1,0\n0,1\ninf,1\n1,1\n")
+    rc = run(["index", "--dataset", str(tmp_path / "edges.txt"), "--seed", "0"])
+    assert rc == 2
+    assert "feature row 2" in capsys.readouterr().err
+
+
+def test_verify_fails_on_a_wrong_unrolled_recurrence(tmp_path):
+    # Mutation check on a copy of the package: adding W_proj to C_1 instead of
+    # C_0 is still a differentiable encoder, but not the layer-wise one.
+    import shutil
+    import subprocess
+    import sys
+
+    import linkgae
+
+    copy = tmp_path / "linkgae"
+    shutil.copytree(Path(linkgae.__file__).parent, copy,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    model_py = copy / "model.py"
+    source = model_py.read_text()
+    right = "if k == 0 and self.cfg.encoder_residual:"
+    assert source.count(right) == 1
+    model_py.write_text(source.replace(right, "if k == 1 and self.cfg.encoder_residual:"))
+    proc = subprocess.run([sys.executable, "-m", "linkgae.cli", "verify", "--graphs", "2"],
+                          cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(tmp_path)},
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1, proc.stderr
+    assert "[FAIL] unrolled encoder identity" in proc.stdout

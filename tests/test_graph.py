@@ -58,6 +58,18 @@ def test_load_features_row_count_sets_num_nodes(tmp_path):
         load_graph(e, x)
 
 
+@pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
+def test_non_finite_features_are_rejected_naming_the_row(tmp_path, bad):
+    e = tmp_path / "edges.txt"
+    e.write_text("0 1\n1 2\n")
+    x = tmp_path / "features.csv"
+    x.write_text(f"1.0,2.0\n3.0,4.0\n5.0,{bad}\n")
+    with pytest.raises(ValueError, match="feature row 2 .* not finite"):
+        load_graph(e, x)
+    with pytest.raises(ValueError, match="feature row 0 "):
+        Graph.from_edges(2, np.array([[0, 1]]), np.array([[np.nan], [np.inf]]))
+
+
 def test_graph_invariants_on_random_graphs(rng):
     for _ in range(20):
         g = random_graph(rng, n_max=25)

@@ -132,6 +132,17 @@ def test_feature_cosine_requires_features():
         score_edges(p3(), np.array([[0, 2]]), "cos")
 
 
+@pytest.mark.parametrize("which", ["cn", "aa", "ra", "cos"])
+@pytest.mark.parametrize("pairs, bad", [
+    ([[0, 1], [-1, 1]], r"\[-1, 1\]"),  # would read row 3 by negative indexing
+    ([[0, 1], [2, 4], [5, 0]], r"\[2, 4\]"),  # the first bad pair is named
+])
+def test_score_edges_rejects_node_ids_outside_the_graph(which, pairs, bad):
+    path = Graph.from_edges(4, np.array([[0, 1], [1, 2], [2, 3]]), np.eye(4))
+    with pytest.raises(ValueError, match=bad + r" has a node id outside \[0, 4\)"):
+        score_edges(path, np.array(pairs), which)
+
+
 def test_score_edges_unknown_heuristic():
     with pytest.raises(ValueError):
         score_edges(p3(), np.array([[0, 2]]), "katz")

@@ -223,6 +223,83 @@ def test_encoder_l2_normalization_flag(rng):
     assert np.allclose(np.linalg.norm(z.value, axis=1), 1.0, atol=1e-12)
 
 
+# -- propagated-feature encoder ------------------------------------------------
+
+def _loss_and_grads(model, tape, z, weights):
+    from linkgae.engine import Tensor
+    loss = tape.sum(tape.hadamard(z, Tensor(weights)))
+    encoder_params = model.input.params() + model.encoder.params()
+    for p in encoder_params:
+        p.grad = None
+    tape.backward(loss)
+    return {p.name: p.grad.copy() for p in encoder_params}
+
+
+@pytest.mark.parametrize("conv", ["gcn", "sage"])
+@pytest.mark.parametrize("masked", [False, True])
+def test_propagated_features_equal_the_layer_wise_loop(conv, masked, rng):
+    # z_L = sum_k (M^k X) C_k exactly; float64 leaves only rounding.
+    g = random_graph(rng, n_min=20, n_max=30, p=0.25, features=5)
+    ops = MessageOperators.build(g, conv)
+    if masked:
+        ops = ops.masked(g.edge_list()[::4])
+    weights = rng.standard_normal((g.num_nodes, 8))
+    for layers in range(1, 5):
+        for residual in (True, False):
+            for norm in (True, False):
+                cfg = small_cfg(input_mode="raw", conv=conv, mpnn_layers=layers,
+                                hidden_dim=8, encoder_residual=residual,
+                                normalize_embeddings=norm)
+                model = GAEModel(g, cfg, seed=layers)
+                for p in model.params():
+                    p.value = rng.standard_normal(p.shape) / np.sqrt(p.shape[0])
+                tape = Tape()
+                looped = model.encoder.forward(tape, ops, model.input.forward(tape))
+                grads_looped = _loss_and_grads(model, tape, looped, weights)
+                tape = Tape()
+                unrolled = model.encode(tape, ops)
+                grads = _loss_and_grads(model, tape, unrolled, weights)
+                assert np.max(np.abs(unrolled.value - looped.value)) <= 1e-12
+                for name, want in grads_looped.items():
+                    err = np.max(np.abs(grads[name] - want)) / np.max(np.abs(want))
+                    assert err <= 1e-10, (name, err)
+
+
+def _spmm_calls(model, ops, monkeypatch) -> int:
+    calls = []
+    original = Tape.spmm
+    monkeypatch.setattr(Tape, "spmm",
+                        lambda self, adj, x: calls.append(1) or original(self, adj, x))
+    model.encode(Tape(), ops)
+    return len(calls)
+
+
+@pytest.mark.parametrize("conv", ["gcn", "sage"])
+@pytest.mark.parametrize("masked", [False, True])
+def test_raw_linear_encoders_propagate_features(conv, masked, rng, monkeypatch):
+    g = random_graph(rng, n_min=10, n_max=14, p=0.4, features=6)
+    ops = MessageOperators.build(g, conv)
+    if masked:
+        ops = ops.masked(g.edge_list()[:3])
+    model = GAEModel(g, small_cfg(input_mode="raw", conv=conv, hidden_dim=6), seed=0)
+    assert model.propagates_features
+    assert _spmm_calls(model, ops, monkeypatch) == 0
+
+
+@pytest.mark.parametrize("change", [
+    {"input_mode": "learnable-orthogonal"}, {"input_mode": "fixed-orthogonal"},
+    {"input_mode": "all-ones"}, {"input_mode": "random-uniform"},
+    {"input_mode": "raw-plus-learnable"}, {"conv": "gin"},
+    {"linear_encoder": False}, {"hidden_dim": 5},  # 6 features > hidden width 5
+])
+def test_other_encoders_keep_the_layer_wise_loop(change, rng, monkeypatch):
+    g = random_graph(rng, n_min=10, n_max=14, p=0.4, features=6)
+    cfg = small_cfg(input_mode="raw", hidden_dim=6).replace(**change)
+    model = GAEModel(g, cfg, seed=0)
+    assert not model.propagates_features
+    assert _spmm_calls(model, MessageOperators.build(g, cfg.conv), monkeypatch) == 2
+
+
 # -- decoder -----------------------------------------------------------------
 
 def test_dot_decoder_unit_and_orthogonal_pairs():

@@ -244,3 +244,21 @@ def test_single_batch_step_runs_and_updates():
     changed = any(not np.array_equal(a, b)
                   for a, b in zip(before, model.snapshot()))
     assert changed
+
+
+def nan_loss(tape, pos, neg):
+    return tape.add(bce_loss(tape, pos, neg), Tensor(np.array([[np.nan]])))
+
+
+def test_non_finite_loss_stops_training_naming_epoch_and_step(monkeypatch):
+    from linkgae import train
+
+    g, split = trainable_graph()
+    cfg = tiny_cfg(batch_size=32, epochs=3, eval_every=1)
+    model = GAEModel(g, cfg, seed=0)
+    before = model.snapshot()
+    monkeypatch.setattr(train, "bce_loss", nan_loss)
+    with pytest.raises(FloatingPointError, match="non-finite training loss nan at epoch 1, step 1"):
+        fit(model, split, cfg, seed=0)
+    # the step stops before backward and Adam, so no NaN reaches a parameter
+    assert all(np.array_equal(a, b) for a, b in zip(before, model.snapshot()))
