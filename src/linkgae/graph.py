@@ -103,16 +103,9 @@ class Graph:
         """Number of undirected edges."""
         return len(self.indices) // 2
 
-    def neighbors(self, u: int) -> Array:
-        return self.indices[self.indptr[u]:self.indptr[u + 1]]
-
     def edge_list(self) -> Array:
         """Canonical (u < v) undirected edge list, shape (num_edges, 2)."""
         return _decode(self._pair_codes, self.num_nodes)
-
-    def has_edges(self, pairs: Array) -> Array:
-        """Vectorized membership test for canonical pairs."""
-        return _find(self._pair_codes, _codes(pairs, self.num_nodes))[1]
 
     def validate(self) -> None:
         """Check the CSR invariants; raises AssertionError on violation."""
@@ -180,54 +173,40 @@ class SparseOperator:
 
     Immutable; ``without_edges`` returns a value-zeroed copy (structure and
     degree scaling untouched), which is how per-batch input masking works.
-    Symmetric operators reuse the forward kernel for the transpose product;
-    asymmetric ones (row-normalized aggregation) materialize the transpose.
+    Products take dense inputs of the matrix's own dtype only. Symmetric
+    operators reuse the forward kernel for the transpose product;
+    asymmetric ones (row-normalized aggregation) multiply by the transposed
+    (CSC) view of the matrix.
     """
 
     def __init__(self, mat: sp.csr_matrix, symmetric: bool = False):
         self.mat = mat.tocsr()
         self.mat.sort_indices()
         self.symmetric = symmetric
-        self._mat32: sp.csr_matrix | None = None
-        self._mat_t: sp.csr_matrix | None = None
-        self._mat_t32: sp.csr_matrix | None = None
         self._entry_codes: Array | None = None  # row * n + col of every stored entry, ascending
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.mat.shape
 
-    def _with_data(self, data: Array) -> sp.csr_matrix:
-        """A matrix on this operator's index arrays with other values."""
-        return sp.csr_matrix((data, self.mat.indices, self.mat.indptr), shape=self.shape)
-
-    def _float32(self) -> sp.csr_matrix:
-        if self._mat32 is None:
-            self._mat32 = self._with_data(self.mat.data.astype(np.float32))
-        return self._mat32
+    def _check(self, x: Array, rows: int, what: str) -> None:
+        if x.ndim != 2 or x.shape[0] != rows:
+            raise ValueError(f"{what} shape mismatch {self.shape} @ {x.shape}")
+        if x.dtype != self.mat.dtype:
+            raise ValueError(f"{what} dtype mismatch: the operator is {self.mat.dtype}, "
+                             f"the input is {x.dtype}")
 
     def matvec(self, x: Array) -> Array:
         """Row-major sparse @ dense; bit-identical across repeated calls."""
-        if x.ndim != 2 or x.shape[0] != self.shape[1]:
-            raise ValueError(f"spmm shape mismatch {self.shape} @ {x.shape}")
-        if x.dtype == np.float32:
-            return self._float32() @ x
+        self._check(x, self.shape[1], "spmm")
         return self.mat @ x
 
     def rmatvec(self, x: Array) -> Array:
         """Transpose product; identical to matvec for symmetric operators."""
         if self.symmetric:
             return self.matvec(x)
-        if x.ndim != 2 or x.shape[0] != self.shape[0]:
-            raise ValueError(f"spmm^T shape mismatch {self.shape}^T @ {x.shape}")
-        if self._mat_t is None:
-            self._mat_t = self.mat.T.tocsr()
-            self._mat_t.sort_indices()
-        if x.dtype == np.float32:
-            if self._mat_t32 is None:
-                self._mat_t32 = self._mat_t.astype(np.float32)
-            return self._mat_t32 @ x
-        return self._mat_t @ x
+        self._check(x, self.shape[0], "spmm^T")
+        return self.mat.T @ x
 
     def toarray(self) -> Array:
         return self.mat.toarray()
@@ -236,8 +215,7 @@ class SparseOperator:
         """Copy with the given undirected edges' values set to zero.
 
         Pairs the operator does not store are skipped. The copy shares this
-        operator's index arrays and copies only the float64 and float32
-        values, so the float32 cast happens once per operator, not per copy.
+        operator's index arrays and copies only the values.
         """
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         n = self.shape[1]
@@ -248,48 +226,47 @@ class SparseOperator:
             self._entry_codes = rows * n + self.mat.indices
         u, v = edges[:, 0], edges[:, 1]
         pos, found = _find(self._entry_codes, np.concatenate([u * n + v, v * n + u]))
-        pos = pos[found]
-        data, data32 = self.mat.data.copy(), self._float32().data.copy()
-        data[pos] = 0.0
-        data32[pos] = 0.0
-        out = SparseOperator(self._with_data(data), self.symmetric)
-        out._mat32 = self._with_data(data32)
+        data = self.mat.data.copy()
+        data[pos[found]] = 0.0
+        out = SparseOperator(sp.csr_matrix((data, self.mat.indices, self.mat.indptr),
+                                           shape=self.shape), self.symmetric)
         out._entry_codes = self._entry_codes
         return out
 
 
-def normalize(g: Graph) -> SparseOperator:
+def normalize(g: Graph, dtype=np.float64) -> SparseOperator:
     """Symmetrically normalized adjacency with self-loops.
 
     Entry (u, v) = ((deg(u)+1) * (deg(v)+1)) ** -0.5 for every edge and
-    every diagonal position; symmetric, all values in (0, 1].
+    every diagonal position; symmetric, all values in (0, 1]. Like every
+    operator builder it computes in float64 and rounds once to ``dtype``.
     """
     n = g.num_nodes
     inv = 1.0 / np.sqrt(g.degrees + 1.0)
     rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(g.indptr))
     rows = np.concatenate([rows, np.arange(n, dtype=np.int64)])
     cols = np.concatenate([g.indices, np.arange(n, dtype=np.int64)])
-    vals = inv[rows] * inv[cols]
+    vals = (inv[rows] * inv[cols]).astype(dtype)
     return SparseOperator(sp.csr_matrix((vals, (rows, cols)), shape=(n, n)),
                           symmetric=True)
 
 
-def mean_adjacency(g: Graph) -> SparseOperator:
+def mean_adjacency(g: Graph, dtype=np.float64) -> SparseOperator:
     """Row-normalized adjacency (no self-loops); isolated rows stay zero."""
     n = g.num_nodes
     deg = g.degrees.astype(np.float64)
     scale = np.divide(1.0, deg, out=np.zeros_like(deg), where=deg > 0)
     rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(g.indptr))
-    vals = scale[rows]
+    vals = scale[rows].astype(dtype)
     return SparseOperator(sp.csr_matrix((vals, (rows, g.indices)), shape=(n, n)),
                           symmetric=False)
 
 
-def plain_adjacency(g: Graph) -> SparseOperator:
+def plain_adjacency(g: Graph, dtype=np.float64) -> SparseOperator:
     """Raw 0/1 adjacency (no self-loops)."""
     n = g.num_nodes
     rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(g.indptr))
-    vals = np.ones(len(g.indices), dtype=np.float64)
+    vals = np.ones(len(g.indices), dtype=dtype)
     return SparseOperator(sp.csr_matrix((vals, (rows, g.indices)), shape=(n, n)),
                           symmetric=True)
 
@@ -399,29 +376,21 @@ def random_split(g: Graph, ratios: tuple[float, float, float] = (0.7, 0.1, 0.2),
     return EdgeSplit(train, valid, test, negs[:sizes[1]], negs[sizes[1]:], seed)
 
 
-def sample_negatives(g: Graph, count: int, seed: int | np.random.Generator,
-                     exclude: Array | None = None) -> Array:
-    """Uniformly sample ``count`` distinct non-edges, avoiding ``exclude``.
+def sample_negatives(g: Graph, count: int, seed: int | np.random.Generator) -> Array:
+    """Uniformly sample ``count`` distinct non-edges.
 
     Returns canonical (u < v) pairs, shape (count, 2).
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     n = g.num_nodes
     if count == 0:
         return np.empty((0, 2), dtype=np.int64)
-    total_pairs = n * (n - 1) // 2
-    excl_codes = np.empty(0, dtype=np.int64)
-    if exclude is not None and len(exclude):
-        excl_codes = np.unique(_codes(exclude, n))
-        excl_codes = excl_codes[~_find(g._pair_codes, excl_codes)[1]]
-        excl_codes = excl_codes[excl_codes // n != excl_codes % n]
-    available = total_pairs - g.num_edges - len(excl_codes)
+    available = n * (n - 1) // 2 - g.num_edges
     if count > available:
         raise ValueError(f"requested {count} negatives but only {available} non-edges exist")
 
     def non_edges(codes: Array) -> Array:
-        codes = codes[~_find(g._pair_codes, codes)[1]]
-        return codes[~_find(excl_codes, codes)[1]]
+        return codes[~_find(g._pair_codes, codes)[1]]
 
     if count * 3 >= available:
         # Dense regime: enumerate every non-edge and sample without replacement.

@@ -25,6 +25,7 @@ from .graph import (Graph, SparseOperator, mean_adjacency, normalize,
 INPUT_MODES = ("raw", "learnable-orthogonal", "fixed-orthogonal", "all-ones",
                "random-uniform", "raw-plus-learnable")
 CHECKPOINT_VERSION = 1
+SCORE_CHUNK = 16384  # pairs decoded at a time by GAEModel.score_edges
 
 
 def orthogonal_rows(n: int, d: int, rng: np.random.Generator,
@@ -101,26 +102,21 @@ class InputRepresentation:
         return self.table
 
 
-def build_input(g: Graph, mode: str, dim: int, seed: int | np.random.Generator,
-                dtype=np.float64) -> InputRepresentation:
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return InputRepresentation(g, mode, dim, rng, dtype)
-
-
 @dataclass
 class MessageOperators:
-    """The sparse operators a convolution needs, built from train edges."""
+    """The sparse operators a convolution needs, built from train edges in
+    the dtype of the model that uses them."""
 
     norm: SparseOperator
     mean: SparseOperator | None = None
     plain: SparseOperator | None = None
 
     @classmethod
-    def build(cls, g: Graph, conv: str) -> "MessageOperators":
+    def build(cls, g: Graph, conv: str, dtype=np.float32) -> "MessageOperators":
         return cls(
-            norm=normalize(g),
-            mean=mean_adjacency(g) if conv == "sage" else None,
-            plain=plain_adjacency(g) if conv == "gin" else None,
+            norm=normalize(g, dtype),
+            mean=mean_adjacency(g, dtype) if conv == "sage" else None,
+            plain=plain_adjacency(g, dtype) if conv == "gin" else None,
         )
 
     def masked(self, edges: np.ndarray) -> "MessageOperators":
@@ -278,9 +274,8 @@ class Decoder:
         h0 = tape.hadamard(zu, zv)
         h = h0
         for w, b in zip(self.weights, self.biases):
-            h = tape.relu(tape.add(tape.matmul(h, w), b))
-            if train and self.cfg.dropout > 0.0:
-                h = tape.dropout(h, self.cfg.dropout, rng, train)
+            h = tape.dropout(tape.relu(tape.add(tape.matmul(h, w), b)), self.cfg.dropout,
+                             rng, train)
             if self.cfg.decoder_residual:
                 h = tape.add(h, h0)
         return tape.add(tape.matmul(h, self.w_head), self.b_head)
@@ -290,7 +285,7 @@ class GAEModel:
     """Input representation + encoder + decoder over one graph."""
 
     def __init__(self, g: Graph, cfg: ModelConfig, seed: int | np.random.Generator = 0):
-        rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+        rng = np.random.default_rng(seed)
         dtype = cfg.np_dtype
         self.graph = g
         self.cfg = cfg
@@ -324,15 +319,14 @@ class GAEModel:
                rng: np.random.Generator | None = None) -> Tensor:
         return self.decoder.forward(tape, z, edges, train=train, rng=rng)
 
-    def score_edges(self, ops: MessageOperators, edges: np.ndarray,
-                    chunk: int = 16384) -> np.ndarray:
+    def score_edges(self, ops: MessageOperators, edges: np.ndarray) -> np.ndarray:
         """Eval-mode logits for pairs of shape (..., 2), returned as shape (...)."""
         edges = np.asarray(edges, dtype=np.int64)
         flat = edges.reshape(-1, 2)
         tape = Tape(record=False)
         z = self.encode(tape, ops)
-        parts = [self.decode(tape, z, flat[i:i + chunk]).value[:, 0]
-                 for i in range(0, len(flat), chunk)]
+        parts = [self.decode(tape, z, flat[i:i + SCORE_CHUNK]).value[:, 0]
+                 for i in range(0, len(flat), SCORE_CHUNK)]
         scores = np.concatenate(parts) if parts else np.empty(0)
         return scores.reshape(edges.shape[:-1])
 

@@ -16,18 +16,12 @@ from .graph import EdgeSplit, Graph, sample_negatives
 from .model import GAEModel, MessageOperators
 
 
-def bce_loss(tape: Tape, pos_logits: Tensor | None, neg_logits: Tensor | None) -> Tensor:
+def bce_loss(tape: Tape, pos_logits: Tensor, neg_logits: Tensor) -> Tensor:
     """Mean binary cross-entropy over positives (label 1) and negatives (label 0)."""
-    n_pos = pos_logits.shape[0] if pos_logits is not None else 0
-    n_neg = neg_logits.shape[0] if neg_logits is not None else 0
-    if n_pos + n_neg == 0:
-        raise ValueError("bce_loss needs at least one edge")
-    if n_pos and n_neg:
-        logits = tape.concat_rows(pos_logits, neg_logits)
-    else:
-        logits = pos_logits if n_pos else neg_logits
-    labels = np.concatenate([np.ones((n_pos, 1)), np.zeros((n_neg, 1))])
-    return tape.bce_with_logits(logits, Tensor(labels.astype(logits.dtype)))
+    logits = tape.concat_rows(pos_logits, neg_logits)
+    labels = np.zeros(logits.shape, dtype=logits.dtype)
+    labels[:pos_logits.shape[0]] = 1.0
+    return tape.bce_with_logits(logits, Tensor(labels))
 
 
 def train_step(model: GAEModel, batch: np.ndarray, cfg: ModelConfig, g_train: Graph,
@@ -111,10 +105,10 @@ def fit(model: GAEModel, split: EdgeSplit, cfg: ModelConfig,
     """
     if len(split.valid_pos) == 0:
         raise ValueError("fit needs validation edges for model selection")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     seed_label = -1 if isinstance(seed, np.random.Generator) else int(seed)
     g_train = Graph.from_edges(model.graph.num_nodes, split.train_pos)
-    ops = MessageOperators.build(g_train, cfg.conv)
+    ops = MessageOperators.build(g_train, cfg.conv, cfg.np_dtype)
     adam = Adam(model.params(), cfg.lr)
     metric = MetricSpec.parse(cfg.metric)
     record = RunRecord(seed=seed_label)
@@ -157,19 +151,3 @@ def fit(model: GAEModel, split: EdgeSplit, cfg: ModelConfig,
     record.test_metric = metric.evaluate(pos, neg)
     return record
 
-
-def single_batch_step(model: GAEModel, split: EdgeSplit, cfg: ModelConfig,
-                      batch_size: int | None = None):
-    """A closure running one full training step; used by the micro-benchmark."""
-    b = batch_size or cfg.batch_size
-    g_train = Graph.from_edges(model.graph.num_nodes, split.train_pos)
-    ops = MessageOperators.build(g_train, cfg.conv)
-    adam = Adam(model.params(), cfg.lr)
-    rng = np.random.default_rng(0)
-    m = len(split.train_pos)
-    batch = split.train_pos[np.resize(np.arange(m), b)]
-
-    def step() -> None:
-        train_step(model, batch, cfg, g_train, ops, adam, rng)
-
-    return step

@@ -190,18 +190,6 @@ def test_verify_fails_on_wrong_heuristic_weight(capsys, monkeypatch):
     assert "[FAIL] heuristics vs sparse product" in capsys.readouterr().out
 
 
-def test_bench_reports_times_and_csv(tmp_path, capsys):
-    csv = tmp_path / "bench.csv"
-    rc = run(["bench", "--dataset", TINY, "--dims", "8,16",
-              "--batch-size", "64", "--warmup", "1", "--reps", "3",
-              "--set", FAST, "--csv", str(csv)])
-    assert rc == 0
-    lines = csv.read_text().strip().split("\n")
-    assert lines[0] == "hidden_dim,seconds_per_batch"
-    assert len(lines) == 3
-    assert "log-log slope" in capsys.readouterr().out
-
-
 def test_split_roundtrip(tmp_path):
     out = tmp_path / "split.json"
     assert run(["split", "--dataset", TINY, "--out", str(out), "--seed", "3"]) == 0

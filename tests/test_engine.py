@@ -1,19 +1,14 @@
 import numpy as np
 import pytest
 
+from linkgae import engine
 from linkgae.engine import (Adam, Tape, Tensor, finite_difference_check,
-                            gradient_check_all, registered_ops, _accumulate, _op_cases)
+                            gradient_check_all, _accumulate, _op_cases)
 
 
 def test_tensor_rejects_non_2d():
     with pytest.raises(ValueError):
         Tensor(np.zeros(3))
-
-
-def test_sigmoid_at_zero():
-    tape = Tape()
-    out = tape.sigmoid(Tensor([[0.0]]))
-    assert out.item() == 0.5
 
 
 def test_bce_logit_zero_label_one_is_ln2():
@@ -107,27 +102,58 @@ def test_dropout_train_preserves_expectation():
 
 
 def test_every_registered_op_passes_finite_difference_check():
-    report = gradient_check_all()
-    assert set(report) == set(registered_ops())
-    for name, err in report.items():
+    for name, err in gradient_check_all().items():
         assert err < 1e-4, f"op {name} rel error {err:.2e}"
 
 
+def test_every_public_tape_op_has_a_gradient_case():
+    plumbing = {"backward"}
+    ops = {name for name, attr in vars(Tape).items()
+           if callable(attr) and not name.startswith("_")} - plumbing
+    cases = _op_cases(np.random.default_rng(0))
+    covered = {name for name in ops if any(c == name or c.startswith(name + "_") for c in cases)}
+    assert ops - covered == set(), "tape ops without an _op_cases entry"
+    assert {"matmul", "spmm", "relu"} <= ops  # the scan sees the op methods
+
+
 def test_finite_difference_catches_a_wrong_gradient():
-    # negative control: a deliberately broken backward must fail the check
+    # negative control: a gather_rows backward scaled by 1.05 must fail the check
     class BrokenTape(Tape):
-        def sigmoid(self, x):
-            val = 1.0 / (1.0 + np.exp(-x.value))
-
+        def gather_rows(self, x, idx):
             def bwd(up):
-                from linkgae.engine import _accumulate
-                _accumulate(x, up * val)  # missing (1 - val) factor
+                g = np.zeros_like(x.value)
+                np.add.at(g, idx, up * 1.05)
+                _accumulate(x, g)
 
-            return self._emit(val, (x,), bwd)
+            return self._emit(x.value[idx], (x,), bwd)
 
     x = Tensor(np.random.default_rng(3).standard_normal((3, 3)), param=True)
-    err = finite_difference_check([x], lambda t, a: BrokenTape.sigmoid(t, a))
+    idx = np.array([0, 2, 2, 1])
+    err = finite_difference_check([x], lambda t, a: BrokenTape.gather_rows(t, a, idx))
     assert err > 1e-2
+
+
+def test_finite_difference_skips_a_coordinate_whose_step_crosses_a_relu_kink(monkeypatch):
+    # x[0, 0] sits 2e-6 from the kink: its ±1e-5 step crosses it, so no
+    # central difference at that step equals either one-sided slope
+    x = Tensor(np.array([[0.3, 0.7, -0.4]] * 20), param=True)
+    x.value[0, 0] = 2e-6
+    assert finite_difference_check([x], lambda t, a: t.relu(a)) < 1e-8
+    monkeypatch.setattr(engine, "KINK_TOL", np.inf)  # detection off: the kink fails
+    assert finite_difference_check([x], lambda t, a: t.relu(a)) > 0.1
+    monkeypatch.undo()
+    # a wrong backward still fails on the coordinates that are not skipped
+    class BrokenTape(Tape):
+        def relu(self, a):
+            val = np.maximum(a.value, 0.0)
+            return self._emit(val, (a,), lambda up: _accumulate(a, up * (a.value > 0) * 1.05))
+
+    assert finite_difference_check([x], lambda t, a: BrokenTape.relu(t, a)) > 1e-2
+
+
+def test_finite_difference_fails_when_too_many_coordinates_are_skipped():
+    x = Tensor(np.full((4, 3), 2e-6), param=True)  # every step crosses the kink
+    assert finite_difference_check([x], lambda t, a: t.relu(a)) == float("inf")
 
 
 def test_adam_first_step_matches_bias_corrected_update():
@@ -203,11 +229,11 @@ def test_dropout_mask_matches_the_float64_formula():
 
 
 def _aliasing_case(add):
-    # y reaches the output through add and through sigmoid; add runs first in
+    # y reaches the output through add and through y * y; add runs first in
     # backward, so y's gradient buffer starts as what add hands it and the
-    # sigmoid term is then added into that buffer in place.
+    # square's terms are then added into that buffer in place.
     def forward(tape, x, y):
-        p = tape.sigmoid(y)
+        p = tape.hadamard(y, y)
         return tape.hadamard(add(tape, x, y), p)
 
     return forward

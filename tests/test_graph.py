@@ -13,6 +13,12 @@ def p3() -> Graph:
     return Graph.from_edges(3, np.array([[0, 1], [1, 2]]))
 
 
+def stored(g: Graph, pairs: np.ndarray) -> np.ndarray:
+    """Whether each pair is an edge of ``g``."""
+    e = np.sort(np.asarray(pairs, dtype=np.int64).reshape(-1, 2), axis=1)
+    return np.isin(e[:, 0] * g.num_nodes + e[:, 1], g._pair_codes)
+
+
 # -- loading ----------------------------------------------------------------
 
 def test_load_path_graph(tmp_path):
@@ -164,6 +170,18 @@ def test_spmm_shape_mismatch():
         normalize(g).matvec(np.ones((4, 2)))
 
 
+@pytest.mark.parametrize("build", [normalize, mean_adjacency])
+def test_products_reject_an_input_of_the_other_dtype(build):
+    for op_dtype, x_dtype in ((np.float32, np.float64), (np.float64, np.float32)):
+        op = build(p3(), op_dtype)
+        assert op.mat.dtype == op_dtype
+        x = np.ones((3, 2), dtype=x_dtype)
+        for product in (op.matvec, op.rmatvec):
+            with pytest.raises(ValueError, match=f"operator is {np.dtype(op_dtype)}, "
+                                                 f"the input is {np.dtype(x_dtype)}"):
+                product(x)
+
+
 def test_mean_and_plain_adjacency():
     g = p3()
     mean = mean_adjacency(g).toarray()
@@ -202,11 +220,15 @@ def test_without_edges_matches_the_per_edge_loop(build, rng):
         assert np.shares_memory(masked.mat.indptr, op.mat.indptr)
         assert np.shares_memory(masked.mat.indices, op.mat.indices)
         assert masked.symmetric == op.symmetric
-        assert np.array_equal(masked._mat32.toarray(),
-                              masked.mat.astype(np.float32).toarray())
-        x = rng.standard_normal((g.num_nodes, 3)).astype(np.float32)
-        assert np.array_equal(masked.matvec(x), masked.mat.astype(np.float32) @ x)
-        assert np.array_equal(masked.rmatvec(x), masked.mat.T.astype(np.float32) @ x)
+        x = rng.standard_normal((g.num_nodes, 3))
+        assert np.allclose(masked.rmatvec(x), masked.toarray().T @ x, rtol=0, atol=1e-12)
+        assert np.array_equal(masked.rmatvec(x), masked.mat.T.tocsr() @ x)
+        # built in float32: the float64 values rounded once, masked the same way
+        masked32 = build(g, np.float32).without_edges(batch)
+        assert np.array_equal(masked32.mat.data, want.data.astype(np.float32))
+        x = x.astype(np.float32)
+        assert np.array_equal(masked32.matvec(x), want.astype(np.float32) @ x)
+        assert np.array_equal(masked32.rmatvec(x), want.T.tocsr().astype(np.float32) @ x)
         # masking a masked copy zeroes the union
         again = masked.without_edges(absent)
         assert np.array_equal(again.mat.data, want.data)
@@ -264,7 +286,7 @@ def test_split_partitions_edge_set_on_random_graphs(rng):
         edges = g.edge_list()
         assert np.array_equal(merged, np.sort(edges[:, 0] * g.num_nodes + edges[:, 1]))
         for negs in (split.valid_neg, split.test_neg):
-            assert not g.has_edges(negs).any()
+            assert not stored(g, negs).any()
 
 
 def test_split_rejects_bad_ratios_and_tiny_graphs():
@@ -338,27 +360,20 @@ def test_sample_negatives_never_returns_positives(rng):
         count = int(rng.integers(1, max(2, avail // 2)))
         negs = sample_negatives(g, count, rng)
         assert len(negs) == count
-        assert not g.has_edges(negs).any()
+        assert not stored(g, negs).any()
         codes = negs[:, 0] * g.num_nodes + negs[:, 1]
         assert len(np.unique(codes)) == count  # no duplicates
         assert np.all(negs[:, 0] < negs[:, 1])
 
 
-def _sample_negatives_loop(g, count, rng, exclude=None):
+def _sample_negatives_loop(g, count, rng):
     """The set-based rejection loop ``sample_negatives`` replaced, kept as its oracle."""
     n = g.num_nodes
-    excl = np.empty(0, dtype=np.int64)
-    if exclude is not None and len(exclude):
-        e = np.sort(np.asarray(exclude, dtype=np.int64), axis=1)
-        excl = np.unique(e[:, 0] * n + e[:, 1])
-        excl = excl[~np.isin(excl, g._pair_codes)]
-        excl = excl[excl // n != excl % n]
-    available = n * (n - 1) // 2 - g.num_edges - len(excl)
+    available = n * (n - 1) // 2 - g.num_edges
     if count * 3 >= available:
         iu, ju = np.triu_indices(n, k=1)
         codes = iu.astype(np.int64) * n + ju
         pool = codes[~np.isin(codes, g._pair_codes)]
-        pool = pool[~np.isin(pool, excl)]
         picked = np.sort(rng.choice(pool, size=count, replace=False))
         return np.stack([picked // n, picked % n], axis=1)
     taken, out = set(), []
@@ -369,7 +384,6 @@ def _sample_negatives_loop(g, count, rng, exclude=None):
         keep = u != v
         cand = np.minimum(u[keep], v[keep]) * n + np.maximum(u[keep], v[keep])
         cand = cand[~np.isin(cand, g._pair_codes)]
-        cand = cand[~np.isin(cand, excl)]
         for c in cand:
             if int(c) not in taken:
                 taken.add(int(c))
@@ -384,25 +398,13 @@ def test_sample_negatives_matches_the_set_loop(rng):
     for trial in range(12):
         g = random_graph(rng, n_min=20, n_max=200, p=0.05 if trial % 2 else 0.8)
         avail = g.num_nodes * (g.num_nodes - 1) // 2 - g.num_edges
-        exclude = g.edge_list()[:3] if trial % 3 == 0 else None
-        if trial % 3 == 1:
-            exclude = sample_negatives(g, 5, trial)
         for count in (1, 17, 700, 5000, avail // 3 - 1, avail // 3 + 1):
-            if count > avail - (len(exclude) if exclude is not None else 0):
+            if count > avail:
                 continue
             seed = 1000 * trial + count
             a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = sample_negatives(g, count, a, exclude=exclude)
-            want = _sample_negatives_loop(g, count, b, exclude=exclude)
+            got = sample_negatives(g, count, a)
+            want = _sample_negatives_loop(g, count, b)
             assert np.array_equal(got, want)
             assert a.random() == b.random()  # same draws consumed
 
-
-def test_sample_negatives_respects_exclusions():
-    g = Graph.from_edges(5, np.array([[0, 1], [1, 2], [2, 3], [3, 4]]))
-    exclude = np.array([[0, 2], [0, 3], [0, 4], [1, 3]])
-    for seed in range(10):
-        negs = sample_negatives(g, 2, seed=seed, exclude=exclude)
-        codes = set(map(tuple, negs))
-        assert codes <= {(1, 4), (2, 4)}
-        assert len(codes) == 2

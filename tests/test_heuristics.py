@@ -43,7 +43,7 @@ def test_same_node_is_degree():
 
 def set_oracle(g: Graph, pairs: np.ndarray, which: str) -> np.ndarray:
     """One Python set intersection per pair, summed in ascending neighbor order."""
-    nbrs = [set(g.neighbors(u).tolist()) for u in range(g.num_nodes)]
+    nbrs = [set(g.indices[g.indptr[u]:g.indptr[u + 1]].tolist()) for u in range(g.num_nodes)]
     weight = {"cn": lambda d: 1.0, "aa": lambda d: 1.0 / np.log(d), "ra": lambda d: 1.0 / d}[which]
     flat = pairs.reshape(-1, 2)
     out = [sum(weight(g.degrees[r]) for r in sorted(nbrs[u] & nbrs[v])) for u, v in flat]
@@ -125,6 +125,19 @@ def test_feature_cosine_values():
     assert abs(cos[1]) < 1e-12  # orthogonal rows
     assert abs(cos[2] - np.sqrt(0.5)) < 1e-10
     assert cos[3] == 0.0  # zero-vector convention
+
+
+def test_feature_cosine_is_bit_equal_to_normalizing_every_row(rng):
+    x = rng.standard_normal((40, 7)) * rng.uniform(0.1, 10.0, (40, 1))
+    x[5] = 0.0
+    g = Graph.from_edges(40, np.array([[0, 1]]), x)
+    pairs = rng.integers(0, 40, (300, 2))
+    pairs[:3] = [[5, 2], [9, 5], [5, 5]]
+    norms = np.linalg.norm(x, axis=1)
+    xn = x / np.where(norms == 0.0, 1.0, norms)[:, None]
+    want = np.sum(xn[pairs[:, 0]] * xn[pairs[:, 1]], axis=1)
+    assert np.array_equal(score_edges(g, pairs, "cos"), want)
+    assert np.array_equal(want[:3], np.zeros(3))
 
 
 def test_feature_cosine_requires_features():

@@ -4,8 +4,8 @@ import pytest
 from linkgae.config import ModelConfig
 from linkgae.engine import Tape
 from linkgae.graph import Graph, normalize
-from linkgae.model import (Decoder, Encoder, GAEModel, MessageOperators,
-                           build_input, orthogonal_rows)
+from linkgae.model import (Decoder, Encoder, GAEModel, InputRepresentation,
+                           MessageOperators, orthogonal_rows)
 from linkgae.evaluation import orthogonality_stats
 from tests.conftest import random_graph
 
@@ -18,7 +18,7 @@ def p3(features=None) -> Graph:
 
 def test_orthogonal_gram_is_identity_when_n_below_d():
     g = Graph.from_edges(4, np.array([[0, 1], [2, 3]]))
-    rep = build_input(g, "learnable-orthogonal", 8, seed=0)
+    rep = InputRepresentation(g, "learnable-orthogonal", 8, np.random.default_rng(0))
     gram = rep.table.value @ rep.table.value.T
     assert np.allclose(gram, np.eye(4), atol=1e-6)
     assert rep.table.param
@@ -26,13 +26,13 @@ def test_orthogonal_gram_is_identity_when_n_below_d():
 
 def test_all_ones_table():
     g = p3()
-    rep = build_input(g, "all-ones", 3, seed=0)
+    rep = InputRepresentation(g, "all-ones", 3, np.random.default_rng(0))
     assert np.array_equal(rep.table.value, np.ones((3, 3)))
 
 
 def test_random_uniform_in_range():
     g = p3()
-    rep = build_input(g, "random-uniform", 64, seed=1)
+    rep = InputRepresentation(g, "random-uniform", 64, np.random.default_rng(1))
     assert rep.table.value.min() >= -1.0 and rep.table.value.max() <= 1.0
 
 
@@ -54,19 +54,19 @@ def test_large_orthogonal_init_matches_expected_coherence():
 
 def test_fixed_orthogonal_excluded_from_params():
     g = p3()
-    rep = build_input(g, "fixed-orthogonal", 8, seed=0)
+    rep = InputRepresentation(g, "fixed-orthogonal", 8, np.random.default_rng(0))
     assert rep.params() == []
     assert not rep.table.param
 
 
 def test_raw_mode_requires_features():
     with pytest.raises(ValueError, match="all-ones"):
-        build_input(p3(), "raw", 8, seed=0)
+        InputRepresentation(p3(), "raw", 8, np.random.default_rng(0))
 
 
 def test_raw_mode_projects_to_hidden_width():
     g = p3(features=np.eye(3))
-    rep = build_input(g, "raw", 8, seed=0)
+    rep = InputRepresentation(g, "raw", 8, np.random.default_rng(0))
     tape = Tape()
     z0 = rep.forward(tape)
     assert z0.shape == (3, 8)
@@ -75,7 +75,7 @@ def test_raw_mode_projects_to_hidden_width():
 
 def test_raw_plus_learnable_concatenates_then_projects():
     g = p3(features=np.eye(3))
-    rep = build_input(g, "raw-plus-learnable", 8, seed=0)
+    rep = InputRepresentation(g, "raw-plus-learnable", 8, np.random.default_rng(0))
     z0 = rep.forward(Tape())
     assert z0.shape == (3, 8)
     names = {p.name for p in rep.params()}
@@ -84,7 +84,7 @@ def test_raw_plus_learnable_concatenates_then_projects():
 
 def test_unknown_mode_rejected():
     with pytest.raises(ValueError):
-        build_input(p3(), "onehot", 8, seed=0)
+        InputRepresentation(p3(), "onehot", 8, np.random.default_rng(0))
 
 
 # -- encoder -----------------------------------------------------------------
@@ -103,8 +103,8 @@ def test_identity_linear_encoder_reproduces_matrix_powers(rng):
     for _ in range(10):
         g = random_graph(rng, n_min=4, n_max=20)
         n = g.num_nodes
-        rep = build_input(g, "fixed-orthogonal", n, seed=1)
-        ops = MessageOperators.build(g, "gcn")
+        rep = InputRepresentation(g, "fixed-orthogonal", n, np.random.default_rng(1))
+        ops = MessageOperators.build(g, "gcn", np.float64)
         dense = normalize(g).toarray()
         for k in (1, 2, 3):
             enc = _identity_encoder(g, k, n)
@@ -115,9 +115,9 @@ def test_identity_linear_encoder_reproduces_matrix_powers(rng):
 
 def test_p3_identity_encoder_logit_is_one_sixth():
     g = p3()
-    rep = build_input(g, "fixed-orthogonal", 3, seed=0)
+    rep = InputRepresentation(g, "fixed-orthogonal", 3, np.random.default_rng(0))
     enc = _identity_encoder(g, 1, 3)
-    ops = MessageOperators.build(g, "gcn")
+    ops = MessageOperators.build(g, "gcn", np.float64)
     tape = Tape(record=False)
     z = enc.forward(tape, ops, rep.forward(tape))
     dec = Decoder(ModelConfig(decoder="dot", hidden_dim=3), np.random.default_rng(0))
@@ -127,9 +127,9 @@ def test_p3_identity_encoder_logit_is_one_sixth():
 
 def test_edgeless_graph_residual_doubles_input():
     g = Graph.from_edges(4, np.empty((0, 2), dtype=np.int64))
-    rep = build_input(g, "fixed-orthogonal", 4, seed=0)
+    rep = InputRepresentation(g, "fixed-orthogonal", 4, np.random.default_rng(0))
     enc = _identity_encoder(g, 1, 4, residual=True)
-    ops = MessageOperators.build(g, "gcn")
+    ops = MessageOperators.build(g, "gcn", np.float64)
     tape = Tape(record=False)
     z0 = rep.forward(tape)
     z = enc.forward(tape, ops, z0)
@@ -142,8 +142,8 @@ def test_residual_survives_zeroed_conv_weights(rng):
                   np.random.default_rng(0))
     for layer in enc.layers:
         layer["w"].value[:] = 0.0
-    rep = build_input(g, "learnable-orthogonal", 8, seed=2)
-    ops = MessageOperators.build(g, "gcn")
+    rep = InputRepresentation(g, "learnable-orthogonal", 8, np.random.default_rng(2))
+    ops = MessageOperators.build(g, "gcn", np.float64)
     tape = Tape(record=False)
     z0 = rep.forward(tape)
     z = enc.forward(tape, ops, z0)
@@ -156,14 +156,14 @@ def test_permutation_equivariance(rng):
     perm = rng.permutation(n)
     edges = g.edge_list()
     g2 = Graph.from_edges(n, perm[edges])
-    rep = build_input(g, "fixed-orthogonal", n, seed=5)
+    rep = InputRepresentation(g, "fixed-orthogonal", n, np.random.default_rng(5))
     table2 = np.empty_like(rep.table.value)
     table2[perm] = rep.table.value  # node u keeps its signature after relabel
     enc = Encoder(ModelConfig(mpnn_layers=2, hidden_dim=n), np.random.default_rng(1))
     from linkgae.engine import Tensor
-    z1 = enc.forward(Tape(record=False), MessageOperators.build(g, "gcn"),
+    z1 = enc.forward(Tape(record=False), MessageOperators.build(g, "gcn", np.float64),
                      Tensor(rep.table.value))
-    z2 = enc.forward(Tape(record=False), MessageOperators.build(g2, "gcn"),
+    z2 = enc.forward(Tape(record=False), MessageOperators.build(g2, "gcn", np.float64),
                      Tensor(table2))
     assert np.max(np.abs(z2.value[perm] - z1.value)) < 1e-9
 
@@ -174,8 +174,8 @@ def test_nonlinear_variant_changes_output():
     rng_a, rng_b = np.random.default_rng(9), np.random.default_rng(9)
     enc_lin = Encoder(cfg, rng_a)
     enc_nl = Encoder(cfg.replace(linear_encoder=False), rng_b)
-    rep = build_input(g, "fixed-orthogonal", 4, seed=0)
-    ops = MessageOperators.build(g, "gcn")
+    rep = InputRepresentation(g, "fixed-orthogonal", 4, np.random.default_rng(0))
+    ops = MessageOperators.build(g, "gcn", np.float64)
     z_lin = enc_lin.forward(Tape(record=False), ops, rep.forward(Tape(record=False)))
     z_nl = enc_nl.forward(Tape(record=False), ops, rep.forward(Tape(record=False)))
     assert not np.allclose(z_lin.value, z_nl.value)
@@ -193,7 +193,7 @@ def test_relu_is_identity_on_positive_preactivations():
         lb["w"].value = w.copy()
     from linkgae.engine import Tensor
     z0 = Tensor(np.full((3, 4), 0.7))
-    ops = MessageOperators.build(g, "gcn")
+    ops = MessageOperators.build(g, "gcn", np.float64)
     z_lin = enc_lin.forward(Tape(record=False), ops, z0)
     z_nl = enc_nl.forward(Tape(record=False), ops, z0)
     assert np.array_equal(z_lin.value, z_nl.value)
@@ -201,12 +201,12 @@ def test_relu_is_identity_on_positive_preactivations():
 
 def test_sage_and_gin_encoders_run_and_differ(rng):
     g = random_graph(rng, n_min=8, n_max=12)
-    rep = build_input(g, "learnable-orthogonal", 16, seed=0)
+    rep = InputRepresentation(g, "learnable-orthogonal", 16, np.random.default_rng(0))
     outs = {}
     for conv in ("gcn", "sage", "gin"):
         enc = Encoder(ModelConfig(conv=conv, mpnn_layers=2, hidden_dim=16),
                       np.random.default_rng(4))
-        ops = MessageOperators.build(g, conv)
+        ops = MessageOperators.build(g, conv, np.float64)
         tape = Tape(record=False)
         outs[conv] = enc.forward(tape, ops, rep.forward(tape)).value
     assert not np.allclose(outs["gcn"], outs["sage"])
@@ -215,11 +215,11 @@ def test_sage_and_gin_encoders_run_and_differ(rng):
 
 def test_encoder_l2_normalization_flag(rng):
     g = random_graph(rng, n_min=6, n_max=10)
-    rep = build_input(g, "learnable-orthogonal", 8, seed=0)
+    rep = InputRepresentation(g, "learnable-orthogonal", 8, np.random.default_rng(0))
     enc = Encoder(ModelConfig(mpnn_layers=2, hidden_dim=8, normalize_embeddings=True),
                   np.random.default_rng(0))
     tape = Tape(record=False)
-    z = enc.forward(tape, MessageOperators.build(g, "gcn"), rep.forward(tape))
+    z = enc.forward(tape, MessageOperators.build(g, "gcn", np.float64), rep.forward(tape))
     assert np.allclose(np.linalg.norm(z.value, axis=1), 1.0, atol=1e-12)
 
 
@@ -240,7 +240,7 @@ def _loss_and_grads(model, tape, z, weights):
 def test_propagated_features_equal_the_layer_wise_loop(conv, masked, rng):
     # z_L = sum_k (M^k X) C_k exactly; float64 leaves only rounding.
     g = random_graph(rng, n_min=20, n_max=30, p=0.25, features=5)
-    ops = MessageOperators.build(g, conv)
+    ops = MessageOperators.build(g, conv, np.float64)
     if masked:
         ops = ops.masked(g.edge_list()[::4])
     weights = rng.standard_normal((g.num_nodes, 8))
@@ -278,7 +278,7 @@ def _spmm_calls(model, ops, monkeypatch) -> int:
 @pytest.mark.parametrize("masked", [False, True])
 def test_raw_linear_encoders_propagate_features(conv, masked, rng, monkeypatch):
     g = random_graph(rng, n_min=10, n_max=14, p=0.4, features=6)
-    ops = MessageOperators.build(g, conv)
+    ops = MessageOperators.build(g, conv, np.float64)
     if masked:
         ops = ops.masked(g.edge_list()[:3])
     model = GAEModel(g, small_cfg(input_mode="raw", conv=conv, hidden_dim=6), seed=0)
@@ -297,7 +297,7 @@ def test_other_encoders_keep_the_layer_wise_loop(change, rng, monkeypatch):
     cfg = small_cfg(input_mode="raw", hidden_dim=6).replace(**change)
     model = GAEModel(g, cfg, seed=0)
     assert not model.propagates_features
-    assert _spmm_calls(model, MessageOperators.build(g, cfg.conv), monkeypatch) == 2
+    assert _spmm_calls(model, MessageOperators.build(g, cfg.conv, np.float64), monkeypatch) == 2
 
 
 # -- decoder -----------------------------------------------------------------
@@ -346,7 +346,7 @@ def test_model_masked_operators_zero_batch_edges(rng):
     g = random_graph(rng, n_min=10, n_max=14, p=0.4)
     edges = g.edge_list()[:3]
     for conv in ("gcn", "sage", "gin"):
-        ops = MessageOperators.build(g, conv)
+        ops = MessageOperators.build(g, conv, np.float64)
         masked = ops.masked(edges)
         for name in ("norm", "mean", "plain"):
             op = getattr(masked, name)
@@ -361,7 +361,7 @@ def test_model_checkpoint_roundtrip(tmp_path, rng):
     g = random_graph(rng, n_min=8, n_max=12, features=5)
     cfg = small_cfg(input_mode="raw")
     model = GAEModel(g, cfg, seed=3)
-    ops = MessageOperators.build(g, "gcn")
+    ops = MessageOperators.build(g, "gcn", np.float64)
     edges = np.array([[0, 1], [2, 3]])
     before = model.score_edges(ops, edges)
     path = tmp_path / "model.npz"
@@ -377,6 +377,6 @@ def test_model_scores_are_deterministic(rng):
     cfg = small_cfg()
     a = GAEModel(g, cfg, seed=7)
     b = GAEModel(g, cfg, seed=7)
-    ops = MessageOperators.build(g, "gcn")
+    ops = MessageOperators.build(g, "gcn", np.float64)
     edges = g.edge_list()[:4]
     assert np.array_equal(a.score_edges(ops, edges), b.score_edges(ops, edges))

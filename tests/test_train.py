@@ -6,7 +6,7 @@ from linkgae.engine import Adam, Tape, Tensor
 from linkgae.evaluation import orthogonality_stats
 from linkgae.graph import Graph, random_split
 from linkgae.model import GAEModel, MessageOperators
-from linkgae.train import bce_loss, fit, single_batch_step, train_epoch
+from linkgae.train import bce_loss, fit, train_epoch, train_step
 from linkgae.synth import structure_dominant_graph
 from tests.conftest import random_graph
 
@@ -30,7 +30,7 @@ def trainable_graph(seed=0, n=60):
 
 def test_bce_one_positive_at_zero_logit():
     tape = Tape()
-    loss = bce_loss(tape, Tensor([[0.0]], param=True), None)
+    loss = bce_loss(tape, Tensor([[0.0]], param=True), Tensor(np.empty((0, 1))))
     assert abs(loss.item() - np.log(2.0)) < 1e-12
 
 
@@ -48,7 +48,7 @@ def test_bce_pos_and_neg_at_zero_logit():
 
 def test_bce_empty_raises():
     with pytest.raises(ValueError):
-        bce_loss(Tape(), None, None)
+        bce_loss(Tape(), Tensor(np.empty((0, 1))), Tensor(np.empty((0, 1))))
 
 
 # -- train_epoch ----------------------------------------------------------------
@@ -56,7 +56,7 @@ def test_bce_empty_raises():
 def _epoch_setup(g, split, cfg, seed=0):
     model = GAEModel(g, cfg, seed=seed)
     g_train = Graph.from_edges(g.num_nodes, split.train_pos)
-    ops = MessageOperators.build(g_train, cfg.conv)
+    ops = MessageOperators.build(g_train, cfg.conv, np.float64)
     adam = Adam(model.params(), cfg.lr)
     rng = np.random.default_rng(seed)
     return model, g_train, ops, adam, rng
@@ -148,14 +148,13 @@ def test_training_negatives_come_from_the_train_graph(monkeypatch):
     sampled_from = []
     real = train_mod.sample_negatives
 
-    def spy(graph, count, rng, exclude=None):
+    def spy(graph, count, rng):
         sampled_from.append(graph.num_edges)
-        return real(graph, count, rng, exclude)
+        return real(graph, count, rng)
 
     monkeypatch.setattr(train_mod, "sample_negatives", spy)
     fit(GAEModel(g, cfg, seed=6), split, cfg, seed=6)
-    single_batch_step(GAEModel(g, cfg, seed=6), split, cfg)()
-    assert len(sampled_from) == 2 * -(-len(split.train_pos) // 64) + 1
+    assert len(sampled_from) == 2 * -(-len(split.train_pos) // 64)
     assert set(sampled_from) == {len(split.train_pos)} != {g.num_edges}
 
 
@@ -184,7 +183,7 @@ def test_fit_selects_best_validation_checkpoint():
     # the recorded test metric exactly
     from linkgae.evaluation import MetricSpec
     g_train = Graph.from_edges(g.num_nodes, split.train_pos)
-    ops = MessageOperators.build(g_train, cfg.conv)
+    ops = MessageOperators.build(g_train, cfg.conv, np.float64)
     metric = MetricSpec.parse(cfg.metric)
     again = metric.evaluate(model.score_edges(ops, split.test_pos),
                             model.score_edges(ops, split.test_neg))
@@ -234,13 +233,17 @@ def test_learnable_embeddings_stay_near_orthogonal():
     assert after < 0.15  # drift stays small at desk scale
 
 
-def test_single_batch_step_runs_and_updates():
+def test_train_step_runs_and_updates():
     g, split = trainable_graph(seed=11)
     cfg = tiny_cfg(batch_size=16)
     model = GAEModel(g, cfg, seed=11)
     before = model.snapshot()
-    step = single_batch_step(model, split, cfg)
-    step()
+    g_train = Graph.from_edges(g.num_nodes, split.train_pos)
+    ops = MessageOperators.build(g_train, cfg.conv, cfg.np_dtype)
+    rng = np.random.default_rng(0)
+    loss, pairs = train_step(model, split.train_pos[:16], cfg, g_train, ops,
+                             Adam(model.params(), cfg.lr), rng)
+    assert np.isfinite(loss) and pairs == 16 * (1 + cfg.neg_ratio)
     changed = any(not np.array_equal(a, b)
                   for a, b in zip(before, model.snapshot()))
     assert changed
