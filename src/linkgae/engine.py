@@ -425,12 +425,12 @@ def finite_difference_check(inputs: Sequence[Tensor],
     weighted sum so every output entry influences the scalar.
 
     A coordinate whose ±h step crosses a kink (a ReLU input changing sign)
-    has no finite-difference derivative at step h. Its central differences
-    at h and h/4 then disagree, where on smooth coordinates they agree to
-    truncation and rounding error, so a coordinate that fails the
-    comparison is skipped when they disagree. The skip is decided by the
-    forward pass alone: a wrong backward cannot cause one. Returns inf when
-    more than ``MAX_KINK_SHARE`` of the coordinates are skipped.
+    has no finite-difference derivative at step h. So a coordinate that
+    fails the comparison is differenced again at h/4: on a smooth coordinate
+    the two agree to truncation and rounding error, and when they disagree
+    the coordinate is skipped. The skip is decided by the forward pass
+    alone, so a wrong backward cannot cause one. Returns inf when more than
+    ``MAX_KINK_SHARE`` of the coordinates are skipped.
     """
     rng = np.random.default_rng(99)
 

@@ -274,8 +274,8 @@ class Decoder:
         h0 = tape.hadamard(zu, zv)
         h = h0
         for w, b in zip(self.weights, self.biases):
-            h = tape.dropout(tape.relu(tape.add(tape.matmul(h, w), b)), self.cfg.dropout,
-                             rng, train)
+            h = tape.relu(tape.add(tape.matmul(h, w), b))
+            h = tape.dropout(h, self.cfg.dropout, rng, train)
             if self.cfg.decoder_residual:
                 h = tape.add(h, h0)
         return tape.add(tape.matmul(h, self.w_head), self.b_head)
