@@ -50,12 +50,6 @@ def _structural(g: Graph, pairs: np.ndarray, which: str) -> np.ndarray:
     return out
 
 
-def _unit_rows(x: np.ndarray) -> np.ndarray:
-    """Rows scaled to unit L2 norm; zero rows stay zero."""
-    norms = np.linalg.norm(x, axis=1)
-    return x / np.where(norms == 0.0, 1.0, norms)[:, None]
-
-
 def score_edges(g: Graph, edges: np.ndarray, which: str) -> np.ndarray:
     """Score pairs of shape (..., 2) with one heuristic; returns shape (...).
 
@@ -77,7 +71,10 @@ def score_edges(g: Graph, edges: np.ndarray, which: str) -> np.ndarray:
             raise ValueError(
                 "cosine heuristic needs features; use all-ones features for "
                 "featureless graphs")
-        scores = np.sum(_unit_rows(x[flat[:, 0]]) * _unit_rows(x[flat[:, 1]]), axis=1)
+        norms = np.linalg.norm(x, axis=1)
+        safe = np.where(norms == 0.0, 1.0, norms)
+        xn = x / safe[:, None]
+        scores = np.sum(xn[flat[:, 0]] * xn[flat[:, 1]], axis=1)
     else:
         scores = _structural(g, flat, which)
     return scores.reshape(edges.shape[:-1])

@@ -127,19 +127,6 @@ def test_feature_cosine_values():
     assert cos[3] == 0.0  # zero-vector convention
 
 
-def test_feature_cosine_is_bit_equal_to_normalizing_every_row(rng):
-    x = rng.standard_normal((40, 7)) * rng.uniform(0.1, 10.0, (40, 1))
-    x[5] = 0.0
-    g = Graph.from_edges(40, np.array([[0, 1]]), x)
-    pairs = rng.integers(0, 40, (300, 2))
-    pairs[:3] = [[5, 2], [9, 5], [5, 5]]
-    norms = np.linalg.norm(x, axis=1)
-    xn = x / np.where(norms == 0.0, 1.0, norms)[:, None]
-    want = np.sum(xn[pairs[:, 0]] * xn[pairs[:, 1]], axis=1)
-    assert np.array_equal(score_edges(g, pairs, "cos"), want)
-    assert np.array_equal(want[:3], np.zeros(3))
-
-
 def test_feature_cosine_requires_features():
     with pytest.raises(ValueError, match="features"):
         score_edges(p3(), np.array([[0, 2]]), "cos")
