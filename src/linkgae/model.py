@@ -25,7 +25,7 @@ from .graph import (Graph, SparseOperator, mean_adjacency, normalize,
 INPUT_MODES = ("raw", "learnable-orthogonal", "fixed-orthogonal", "all-ones",
                "random-uniform", "raw-plus-learnable")
 CHECKPOINT_VERSION = 1
-SCORE_CHUNK = 16384  # pairs decoded at a time by GAEModel.score_edges
+SCORE_CHUNK = 16384  # pairs decoded at a time by GAEModel.score_pairs
 
 
 def orthogonal_rows(n: int, d: int, rng: np.random.Generator,
@@ -319,16 +319,28 @@ class GAEModel:
                rng: np.random.Generator | None = None) -> Tensor:
         return self.decoder.forward(tape, z, edges, train=train, rng=rng)
 
-    def score_edges(self, ops: MessageOperators, edges: np.ndarray) -> np.ndarray:
-        """Eval-mode logits for pairs of shape (..., 2), returned as shape (...)."""
+    def embed(self, ops: MessageOperators) -> np.ndarray:
+        """Eval-mode node embeddings: the encoder's forward pass on an
+        unrecorded tape."""
+        return self.encode(Tape(record=False), ops).value
+
+    def score_pairs(self, z: np.ndarray, edges: np.ndarray) -> np.ndarray:
+        """Eval-mode logits from embeddings ``z`` (see ``embed``) for pairs of
+        shape (..., 2), returned as shape (...)."""
         edges = np.asarray(edges, dtype=np.int64)
         flat = edges.reshape(-1, 2)
-        tape = Tape(record=False)
-        z = self.encode(tape, ops)
-        parts = [self.decode(tape, z, flat[i:i + SCORE_CHUNK]).value[:, 0]
+        tape, zt = Tape(record=False), Tensor(z)
+        parts = [self.decode(tape, zt, flat[i:i + SCORE_CHUNK]).value[:, 0]
                  for i in range(0, len(flat), SCORE_CHUNK)]
         scores = np.concatenate(parts) if parts else np.empty(0)
         return scores.reshape(edges.shape[:-1])
+
+    def score_edges(self, ops: MessageOperators, edges: np.ndarray) -> np.ndarray:
+        """Eval-mode logits for pairs of shape (..., 2), returned as shape (...).
+
+        Encodes the graph on every call; to score several sets of pairs with
+        the same weights, ``embed`` once and call ``score_pairs``."""
+        return self.score_pairs(self.embed(ops), edges)
 
     def snapshot(self) -> list[np.ndarray]:
         return [p.value.copy() for p in self.params()]

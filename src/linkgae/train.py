@@ -3,7 +3,12 @@ masking, and validation-based model selection."""
 
 from __future__ import annotations
 
+import ctypes
+import os
+import platform
+import resource
 import time
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -14,6 +19,45 @@ from .engine import Adam, Tape, Tensor
 from .evaluation import MetricSpec
 from .graph import EdgeSplit, Graph, sample_negatives
 from .model import GAEModel, MessageOperators
+
+
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameter numbers
+HEAP_SETTINGS = ((M_MMAP_THRESHOLD, 64 << 20), (M_TRIM_THRESHOLD, 1 << 30))
+# mallopt acts on the whole process, so the check runs once per process.
+_heap_checked = False
+
+
+def _keep_heap_warm() -> None:
+    """Keep freed training temporaries in the heap; runs once per process.
+
+    By default glibc maps large blocks with mmap and trims the top of the
+    heap once a few MB of it are free (both thresholds start at 128 KiB and
+    follow the largest mmapped block freed so far), so the arrays of one
+    training step go back to the kernel when freed and the next step
+    page-faults the same memory in again. A 64 MiB mmap threshold and a 1 GiB
+    trim threshold keep that memory in the process. The mmap threshold is set
+    first: a trim threshold on its own switches off glibc's dynamic mmap
+    threshold, and then every such array is mmapped. Does nothing off glibc
+    or when the user has tuned malloc through the environment (a ``MALLOC_*``
+    variable or a ``glibc.malloc.`` entry in ``GLIBC_TUNABLES``), which is
+    also how to opt out.
+    """
+    global _heap_checked
+    if _heap_checked:
+        return
+    _heap_checked = True
+    tuned = (any(k.startswith("MALLOC_") for k in os.environ)
+             or "glibc.malloc." in os.environ.get("GLIBC_TUNABLES", ""))
+    if platform.libc_ver()[0] != "glibc" or tuned:
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    for param, value in HEAP_SETTINGS:
+        if mallopt(param, value) != 1:
+            warnings.warn(f"mallopt({param}, {value}) failed; later mallopt settings "
+                          "were not applied", RuntimeWarning, stacklevel=3)
+            return
 
 
 def bce_loss(tape: Tape, pos_logits: Tensor, neg_logits: Tensor) -> Tensor:
@@ -74,15 +118,17 @@ class RunRecord:
 
     seed: int
     epochs: list[tuple] = field(default_factory=list)  # (epoch, loss, valid|None, secs)
+    memory: list[tuple] = field(default_factory=list)  # per epoch: (minor_faults, max_rss_mb)
     best_epoch: int = 0
     best_valid: float = float("-inf")
     test_metric: float = float("nan")
 
     def write_csv(self, path: str | Path) -> None:
-        lines = ["epoch,loss,valid_metric,seconds"]
-        for epoch, loss, valid, secs in self.epochs:
+        lines = ["epoch,loss,valid_metric,seconds,minor_faults,max_rss_mb"]
+        for (epoch, loss, valid, secs), (faults, rss) in zip(self.epochs, self.memory,
+                                                             strict=True):
             v = "" if valid is None else repr(valid)
-            lines.append(f"{epoch},{repr(loss)},{v},{secs:.4f}")
+            lines.append(f"{epoch},{repr(loss)},{v},{secs:.4f},{faults},{rss:.1f}")
         Path(path).write_text("\n".join(lines) + "\n")
 
     def summary(self) -> dict:
@@ -101,10 +147,12 @@ def fit(model: GAEModel, split: EdgeSplit, cfg: ModelConfig,
     """Train with early stopping on the validation metric.
 
     Message passing sees train edges only; the reported test metric always
-    comes from the checkpoint with the best validation metric.
+    comes from the checkpoint with the best validation metric. The first call
+    in a process also applies ``_keep_heap_warm``.
     """
     if len(split.valid_pos) == 0:
         raise ValueError("fit needs validation edges for model selection")
+    _keep_heap_warm()
     rng = np.random.default_rng(seed)
     seed_label = -1 if isinstance(seed, np.random.Generator) else int(seed)
     g_train = Graph.from_edges(model.graph.num_nodes, split.train_pos)
@@ -115,19 +163,21 @@ def fit(model: GAEModel, split: EdgeSplit, cfg: ModelConfig,
     snap = None
     stale = 0
 
-    def validate() -> float:
-        pos = model.score_edges(ops, split.valid_pos)
-        neg = model.score_edges(ops, split.valid_neg)
-        return metric.evaluate(pos, neg)
+    def evaluate(pos: np.ndarray, neg: np.ndarray) -> float:
+        z = model.embed(ops)
+        return metric.evaluate(model.score_pairs(z, pos), model.score_pairs(z, neg))
 
     for epoch in range(1, cfg.epochs + 1):
+        faults0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         t0 = time.perf_counter()
         loss = train_epoch(model, split, cfg, g_train=g_train, ops=ops, adam=adam,
                            rng=rng, on_batch=on_batch, epoch=epoch)
         secs = time.perf_counter() - t0
+        usage = resource.getrusage(resource.RUSAGE_SELF)
+        record.memory.append((usage.ru_minflt - faults0, usage.ru_maxrss / 1024.0))
         valid = None
         if epoch % cfg.eval_every == 0:
-            valid = validate()
+            valid = evaluate(split.valid_pos, split.valid_neg)
             if valid > record.best_valid:
                 record.best_valid = valid
                 record.best_epoch = epoch
@@ -142,12 +192,10 @@ def fit(model: GAEModel, split: EdgeSplit, cfg: ModelConfig,
             break
 
     if snap is None:  # epochs < eval_every: select the final state
-        record.best_valid = validate()
+        record.best_valid = evaluate(split.valid_pos, split.valid_neg)
         record.best_epoch = record.epochs[-1][0] if record.epochs else 0
         snap = model.snapshot()
     model.restore(snap)
-    pos = model.score_edges(ops, split.test_pos)
-    neg = model.score_edges(ops, split.test_neg)
-    record.test_metric = metric.evaluate(pos, neg)
+    record.test_metric = evaluate(split.test_pos, split.test_neg)
     return record
 

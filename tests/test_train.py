@@ -1,6 +1,16 @@
+import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+import linkgae
+from linkgae import train
 from linkgae.config import ModelConfig
 from linkgae.engine import Adam, Tape, Tensor
 from linkgae.evaluation import orthogonality_stats
@@ -217,9 +227,33 @@ def test_fit_writes_csv(tmp_path):
     path = tmp_path / "epochs.csv"
     record.write_csv(path)
     lines = path.read_text().strip().split("\n")
-    assert lines[0] == "epoch,loss,valid_metric,seconds"
-    assert len(lines) == len(record.epochs) + 1
+    assert lines[0] == "epoch,loss,valid_metric,seconds,minor_faults,max_rss_mb"
+    assert len(lines) == len(record.epochs) + 1 == len(record.memory) + 1
     assert lines[1].startswith("1,")
+    for line, (faults, rss) in zip(lines[1:], record.memory):
+        cells = line.split(",")
+        assert len(cells) == 6
+        assert int(cells[4]) == faults >= 0 and float(cells[5]) > 0.0
+
+
+def test_fit_encodes_once_per_evaluation(monkeypatch):
+    g, split = trainable_graph(seed=12)
+    calls = []
+    real = GAEModel.encode
+
+    def counting(self, tape, ops):
+        calls.append(tape.record)
+        return real(self, tape, ops)
+
+    monkeypatch.setattr(GAEModel, "encode", counting)
+    for epochs, validations in ((8, 2), (3, 1)):  # 3 < eval_every: one final validation
+        cfg = tiny_cfg(epochs=epochs, eval_every=4, patience=100)
+        calls.clear()
+        record = fit(GAEModel(g, cfg, seed=12), split, cfg, seed=12)
+        steps = epochs * -(-len(split.train_pos) // cfg.batch_size)
+        assert len(record.epochs) == epochs
+        assert calls.count(True) == steps
+        assert calls.count(False) == validations + 1  # + the test
 
 
 def test_learnable_embeddings_stay_near_orthogonal():
@@ -265,3 +299,112 @@ def test_non_finite_loss_stops_training_naming_epoch_and_step(monkeypatch):
         fit(model, split, cfg, seed=0)
     # the step stops before backward and Adam, so no NaN reaches a parameter
     assert all(np.array_equal(a, b) for a, b in zip(before, model.snapshot()))
+
+
+# -- heap settings -------------------------------------------------------------
+
+@pytest.fixture
+def mallopt_calls(monkeypatch):
+    """A fresh process's view of ``_keep_heap_warm`` on glibc with an untuned
+    malloc, recording mallopt calls instead of making them."""
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    monkeypatch.setattr(train.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+    monkeypatch.setattr(train.platform, "libc_ver", lambda: ("glibc", "2.36"))
+    monkeypatch.setattr(train, "_heap_checked", False)
+    for var in [k for k in os.environ if k.startswith("MALLOC_")] + ["GLIBC_TUNABLES"]:
+        monkeypatch.delenv(var, raising=False)
+    return calls
+
+
+def test_heap_settings_mmap_threshold_first_then_trim(mallopt_calls):
+    train._keep_heap_warm()
+    assert mallopt_calls == [(train.M_MMAP_THRESHOLD, 64 << 20),
+                             (train.M_TRIM_THRESHOLD, 1 << 30)]
+
+
+def test_heap_settings_run_once_per_process(mallopt_calls):
+    g, split = trainable_graph(seed=13)
+    cfg = tiny_cfg(epochs=1, eval_every=1)
+    fit(GAEModel(g, cfg, seed=13), split, cfg, seed=13)
+    fit(GAEModel(g, cfg, seed=13), split, cfg, seed=13)
+    train._keep_heap_warm()
+    assert len(mallopt_calls) == len(train.HEAP_SETTINGS)
+
+
+@pytest.mark.parametrize("var, value", [
+    ("MALLOC_TRIM_THRESHOLD_", "131072"),
+    ("MALLOC_ARENA_MAX", "2"),
+    ("GLIBC_TUNABLES", "glibc.malloc.trim_threshold=131072"),
+    ("GLIBC_TUNABLES", "glibc.rtld.nns=2:glibc.malloc.mmap_threshold=131072"),
+])
+def test_heap_settings_leave_a_user_tuned_malloc_alone(mallopt_calls, monkeypatch, var, value):
+    monkeypatch.setenv(var, value)
+    train._keep_heap_warm()
+    assert mallopt_calls == []
+
+
+def test_heap_settings_apply_with_unrelated_glibc_tunables(mallopt_calls, monkeypatch):
+    monkeypatch.setenv("GLIBC_TUNABLES", "glibc.rtld.nns=2")
+    train._keep_heap_warm()
+    assert len(mallopt_calls) == len(train.HEAP_SETTINGS)
+
+
+def test_heap_settings_do_nothing_off_glibc(mallopt_calls, monkeypatch):
+    monkeypatch.setattr(train.platform, "libc_ver", lambda: ("", ""))
+    train._keep_heap_warm()
+    assert mallopt_calls == []
+
+
+def test_heap_settings_warn_and_stop_when_mallopt_fails(monkeypatch, mallopt_calls):
+    calls = []
+
+    def failing(param, value):
+        calls.append(param)
+        return 0
+
+    monkeypatch.setattr(train.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=failing))
+    with pytest.warns(RuntimeWarning, match="mallopt"):
+        train._keep_heap_warm()
+    assert calls == [train.M_MMAP_THRESHOLD]  # no trim threshold without the mmap one
+
+
+FIT_CHILD = """
+import json
+from linkgae import train
+from linkgae.cli import SYNTH_DEFAULT
+from linkgae.graph import random_split
+from linkgae.model import GAEModel
+from linkgae.synth import structure_dominant_graph
+
+g = structure_dominant_graph(1500, seed=3)
+cfg = SYNTH_DEFAULT.replace(epochs=4, eval_every=2)
+rec = train.fit(GAEModel(g, cfg, seed=3), random_split(g, seed=3), cfg, seed=3)
+print(json.dumps({"numbers": [e[1].hex() for e in rec.epochs]
+                  + [rec.best_valid.hex(), rec.test_metric.hex()],
+                  "faults": [faults for faults, _ in rec.memory]}))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the heap settings apply on glibc only")
+def test_trained_numbers_do_not_depend_on_the_heap_settings():
+    src = str(Path(linkgae.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
+    env["PYTHONPATH"] = src
+
+    def run(extra):
+        out = subprocess.run([sys.executable, "-c", FIT_CHILD], env={**env, **extra},
+                             capture_output=True, text=True, check=True, timeout=300)
+        return json.loads(out.stdout.splitlines()[-1])
+
+    kept = run({})
+    opted_out = run({"MALLOC_TRIM_THRESHOLD_": "131072"})
+    assert kept["numbers"] == opted_out["numbers"]
+    # the settings took effect: after the first epoch the heap stays warm
+    assert 10 * sum(kept["faults"][1:]) < sum(opted_out["faults"][1:])
