@@ -321,7 +321,10 @@ def mallopt_calls(monkeypatch):
     return calls
 
 
-def test_heap_settings_mmap_threshold_first_then_trim(mallopt_calls):
+@pytest.mark.parametrize("tunables", [None, "glibc.rtld.nns=2"])
+def test_heap_settings_mmap_threshold_first_then_trim(mallopt_calls, monkeypatch, tunables):
+    if tunables is not None:  # tunables of other glibc parts leave malloc untuned
+        monkeypatch.setenv("GLIBC_TUNABLES", tunables)
     train._keep_heap_warm()
     assert mallopt_calls == [(train.M_MMAP_THRESHOLD, 64 << 20),
                              (train.M_TRIM_THRESHOLD, 1 << 30)]
@@ -346,12 +349,6 @@ def test_heap_settings_leave_a_user_tuned_malloc_alone(mallopt_calls, monkeypatc
     monkeypatch.setenv(var, value)
     train._keep_heap_warm()
     assert mallopt_calls == []
-
-
-def test_heap_settings_apply_with_unrelated_glibc_tunables(mallopt_calls, monkeypatch):
-    monkeypatch.setenv("GLIBC_TUNABLES", "glibc.rtld.nns=2")
-    train._keep_heap_warm()
-    assert len(mallopt_calls) == len(train.HEAP_SETTINGS)
 
 
 def test_heap_settings_do_nothing_off_glibc(mallopt_calls, monkeypatch):
