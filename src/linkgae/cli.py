@@ -32,7 +32,7 @@ from .evaluation import (MetricSpec, cn_equivalence_sweep, heuristic_product_swe
                          model_gradient_check, orthogonality_stats,
                          unrolled_encoder_deviation)
 from .graph import EdgeSplit, Graph, load_graph, random_split
-from .heuristics import heuristic_eval, structure_feature_report
+from .heuristics import HEURISTICS, heuristic_eval, structure_feature_report
 from .model import GAEModel, orthogonal_rows
 from .synth import parse_synth_spec
 from .train import fit
@@ -149,68 +149,35 @@ ABLATION_AXES = {
 }
 
 
-def run_variant_grid(g: Graph, base_cfg: ModelConfig, variants, seeds):
-    """One fit per (variant, seed); returns {variant: [metric per seed]}."""
-    results = {}
-    for name, delta in variants:
-        cfg = base_cfg.replace(**delta) if delta else base_cfg
-        vals = []
-        for seed in seeds:
-            record, _ = _run_seed(g, cfg, seed)
-            vals.append(record.test_metric)
-        results[name] = vals
-    return results
-
-
-def _write_grid_csv(path: Path, label: str, results: dict, seeds) -> None:
-    header = [label] + [f"seed{s}" for s in seeds] + ["mean", "std"]
-    lines = [",".join(header)]
-    for name, vals in results.items():
-        row = [name] + [repr(v) for v in vals]
-        row += [repr(float(np.mean(vals))), repr(float(np.std(vals)))]
-        lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n")
-
-
-def cmd_ablate(args) -> int:
-    if args.axis not in ABLATION_AXES:
-        raise ValueError(f"unknown ablation axis {args.axis!r}; "
-                         f"choose from {sorted(ABLATION_AXES)}")
-    g = resolve_graph(args.dataset, args.data_dir)
-    cfg = resolve_config(args)
-    if args.axis == "input" and cfg.input_mode in ("raw", "raw-plus-learnable") \
-            and g.features is None:
-        cfg = cfg.replace(input_mode="learnable-orthogonal")
-    seeds = list(range(args.seed, args.seed + args.seeds))
-    results = run_variant_grid(g, cfg, ABLATION_AXES[args.axis], seeds)
-    out = _out_dir(args.out_dir, args.dataset, cfg)
-    path = out / f"ablation-{args.axis}.csv"
-    _write_grid_csv(path, "variant", results, seeds)
-    for name, vals in results.items():
-        print(f"{name}: {np.mean(vals):.4f} +- {np.std(vals):.4f}")
-    print(f"-> {path}")
-    return 0
-
-
 SWEEP_AXES = ("mpnn_layers", "mlp_layers", "hidden_dim")
 
 
-def cmd_sweep(args) -> int:
-    if args.axis not in SWEEP_AXES:
-        raise ValueError(f"unknown sweep axis {args.axis!r}; choose from {SWEEP_AXES}")
-    values = [int(v) for v in args.values.split(",") if v.strip()]
-    if not values:
-        raise ValueError("sweep needs a non-empty comma-separated value list")
+def cmd_grid(args) -> int:
+    """``ablate`` and ``sweep``: one fit per (variant, seed), one CSV row per
+    variant. An ablation's variants are ``ABLATION_AXES[axis]``; a sweep's
+    set ``axis`` to each of ``--values``."""
     g = resolve_graph(args.dataset, args.data_dir)
     cfg = resolve_config(args)
+    if args.command == "ablate":
+        if args.axis == "input" and cfg.input_mode in ("raw", "raw-plus-learnable") \
+                and g.features is None:
+            cfg = cfg.replace(input_mode="learnable-orthogonal")
+        variants, stem, label, prefix = ABLATION_AXES[args.axis], "ablation", "variant", ""
+    else:
+        values = [int(v) for v in args.values.split(",") if v.strip()]
+        if not values:
+            raise ValueError("sweep needs a non-empty comma-separated value list")
+        variants = [(str(v), {args.axis: v}) for v in values]
+        stem, label, prefix = "sweep", "value", f"{args.axis}="
     seeds = list(range(args.seed, args.seed + args.seeds))
-    variants = [(str(v), {args.axis: v}) for v in values]
-    results = run_variant_grid(g, cfg, variants, seeds)
-    out = _out_dir(args.out_dir, args.dataset, cfg)
-    path = out / f"sweep-{args.axis}.csv"
-    _write_grid_csv(path, "value", results, seeds)
-    for name, vals in results.items():
-        print(f"{args.axis}={name}: {np.mean(vals):.4f} +- {np.std(vals):.4f}")
+    lines = [",".join([label] + [f"seed{s}" for s in seeds] + ["mean", "std"])]
+    for name, delta in variants:
+        vals = [_run_seed(g, cfg.replace(**delta), seed)[0].test_metric for seed in seeds]
+        mean, std = float(np.mean(vals)), float(np.std(vals))
+        lines.append(",".join([name] + [repr(v) for v in vals] + [repr(mean), repr(std)]))
+        print(f"{prefix}{name}: {mean:.4f} +- {std:.4f}")
+    path = _out_dir(args.out_dir, args.dataset, cfg) / f"{stem}-{args.axis}.csv"
+    path.write_text("\n".join(lines) + "\n")
     print(f"-> {path}")
     return 0
 
@@ -302,14 +269,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, config=True, out_dir=True):
         p.add_argument("--dataset", required=True,
                        help="preset name, edge-file path, or synth[:k=v,...]")
         p.add_argument("--data-dir", default="data")
-        p.add_argument("--out-dir", default="runs")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--set", default="", help="config overrides key=value,...")
-        p.add_argument("--preset", default=None, help="start from a named preset")
+        if out_dir:
+            p.add_argument("--out-dir", default="runs")
+        if config:
+            p.add_argument("--set", default="", help="config overrides key=value,...")
+            p.add_argument("--preset", default=None, help="start from a named preset")
 
     p = sub.add_parser("train", help="train and evaluate over seeds")
     common(p)
@@ -322,23 +291,23 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--axis", required=True, choices=sorted(ABLATION_AXES))
     p.add_argument("--seeds", type=int, default=5)
-    p.set_defaults(func=cmd_ablate)
+    p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser("sweep", help="sweep one hyperparameter")
     common(p)
     p.add_argument("--axis", required=True, choices=SWEEP_AXES)
     p.add_argument("--values", required=True, help="comma-separated values")
     p.add_argument("--seeds", type=int, default=3)
-    p.set_defaults(func=cmd_sweep)
+    p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser("index", help="structure/feature dominance report")
-    common(p)
+    common(p, out_dir=False)
     p.add_argument("--json", default=None, help="also write the report as JSON")
     p.set_defaults(func=cmd_index)
 
     p = sub.add_parser("heuristic", help="evaluate a classic heuristic")
-    common(p)
-    p.add_argument("--which", required=True, choices=["cn", "aa", "ra", "cos"])
+    common(p, out_dir=False)
+    p.add_argument("--which", required=True, choices=HEURISTICS)
     p.add_argument("--metric", default=None, help="hits@K or mrr")
     p.set_defaults(func=cmd_heuristic)
 
@@ -347,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("split", help="write a split cache JSON")
-    common(p)
+    common(p, config=False, out_dir=False)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_split)
 

@@ -104,8 +104,7 @@ class Tape:
             if node.out.grad is None:
                 continue  # branch not reaching the loss
             node.backward(node.out.grad)
-            if not node.out.param:
-                node.out.grad = None  # free intermediate buffers
+            node.out.grad = None  # _emit outputs are never params: free the buffer
         self.nodes.clear()
 
     # -- forward ops -------------------------------------------------------
@@ -224,12 +223,12 @@ class Tape:
 
         return self._emit(val, (x,), bwd)
 
-    def dropout(self, x: Tensor, p: float, rng: np.random.Generator,
-                train: bool) -> Tensor:
-        """Inverted dropout: scales by 1/(1-p) at train time, identity in eval."""
+    def dropout(self, x: Tensor, p: float, rng: np.random.Generator | None) -> Tensor:
+        """Inverted dropout, scaling by 1/(1-p), when given an rng (training);
+        the identity without one (eval)."""
         if not 0.0 <= p < 1.0:
             raise ValueError(f"dropout rate must be in [0, 1), got {p}")
-        if not train or p == 0.0:
+        if rng is None or p == 0.0:
             return x
         # The float64 draw keeps the random stream; the mask is built in x's dtype.
         mask = (rng.random(x.shape) >= p).astype(x.value.dtype)
@@ -386,7 +385,7 @@ def _op_cases(rng: np.random.Generator) -> dict[str, tuple[list[Tensor], Callabl
     spmm_in2 = _p(rng.standard_normal((5, 3)))
 
     def dropout_case(tape, x):
-        return tape.dropout(x, 0.4, np.random.default_rng(123), train=True)
+        return tape.dropout(x, 0.4, np.random.default_rng(123))
 
     return {
         "matmul": ([a, b], lambda t, x, y: t.matmul(x, y)),

@@ -223,8 +223,8 @@ def model_gradient_check(conv: str = "gcn", seed: int = 0, n: int = 12,
     def loss(tape: Tape, *_params):
         drop_rng = np.random.default_rng(55)  # same masks on every evaluation
         z = model.encode(tape, ops)
-        lp = model.decode(tape, z, pos, train=True, rng=drop_rng)
-        ln = model.decode(tape, z, neg, train=True, rng=drop_rng)
+        lp = model.decode(tape, z, pos, rng=drop_rng)
+        ln = model.decode(tape, z, neg, rng=drop_rng)
         return bce_loss(tape, lp, ln)
 
     return finite_difference_check(model.params(), loss, h=h)

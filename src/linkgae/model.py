@@ -102,37 +102,30 @@ class InputRepresentation:
         return self.table
 
 
+CONV_OPERATORS = {"gcn": normalize, "sage": mean_adjacency, "gin": plain_adjacency}
+
+
 @dataclass
 class MessageOperators:
-    """The sparse operators a convolution needs, built from train edges in
-    the dtype of the model that uses them."""
+    """The sparse operator a convolution aggregates with (``CONV_OPERATORS``),
+    built from train edges in the dtype of the model that uses it."""
 
-    norm: SparseOperator
-    mean: SparseOperator | None = None
-    plain: SparseOperator | None = None
+    op: SparseOperator
 
     @classmethod
     def build(cls, g: Graph, conv: str, dtype=np.float32) -> "MessageOperators":
-        return cls(
-            norm=normalize(g, dtype),
-            mean=mean_adjacency(g, dtype) if conv == "sage" else None,
-            plain=plain_adjacency(g, dtype) if conv == "gin" else None,
-        )
+        return cls(CONV_OPERATORS[conv](g, dtype))
 
     def masked(self, edges: np.ndarray) -> "MessageOperators":
-        """Copy with the given edges' values zeroed in every operator."""
-        return MessageOperators(
-            norm=self.norm.without_edges(edges),
-            mean=self.mean.without_edges(edges) if self.mean is not None else None,
-            plain=self.plain.without_edges(edges) if self.plain is not None else None,
-        )
+        """Copy with the given edges' values zeroed."""
+        return MessageOperators(self.op.without_edges(edges))
 
 
 class Encoder:
     """Stack of message-passing layers sharing one width."""
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator, dtype=np.float64):
-        if cfg.conv not in ("gcn", "sage", "gin"):
+        if cfg.conv not in CONV_OPERATORS:
             raise ValueError(f"unknown convolution {cfg.conv!r}")
         self.cfg = cfg
         d = cfg.hidden_dim
@@ -176,13 +169,13 @@ class Encoder:
     def _conv(self, tape: Tape, ops: MessageOperators, z: Tensor, l: int) -> Tensor:
         layer = self.layers[l]
         if self.cfg.conv == "gcn":
-            return tape.matmul(tape.spmm(ops.norm, z), layer["w"])
+            return tape.matmul(tape.spmm(ops.op, z), layer["w"])
         if self.cfg.conv == "sage":
             own = tape.matmul(z, layer["w_self"])
-            agg = tape.matmul(tape.spmm(ops.mean, z), layer["w_neigh"])
+            agg = tape.matmul(tape.spmm(ops.op, z), layer["w_neigh"])
             return tape.add(own, agg)
         mixed = tape.add(tape.add(z, tape.scalar_mul(z, layer["eps"])),
-                         tape.spmm(ops.plain, z))
+                         tape.spmm(ops.op, z))
         h = tape.relu(tape.add(tape.matmul(mixed, layer["w1"]), layer["b1"]))
         return tape.add(tape.matmul(h, layer["w2"]), layer["b2"])
 
@@ -207,10 +200,9 @@ class Encoder:
         C_k <- C_k W_self,l + C_{k-1} W_neigh,l (+ W_proj for k = 0).
         Coefficients known to be zero are skipped.
         """
-        op = ops.norm if self.cfg.conv == "gcn" else ops.mean
         feats = [x]
         for _ in self.layers:
-            feats.append(op.matvec(feats[-1]))
+            feats.append(ops.op.matvec(feats[-1]))
         coef: list[Tensor | None] = [w_proj]
         for layer in self.layers:
             w_self = layer.get("w_self")  # gcn has none
@@ -264,8 +256,9 @@ class Decoder:
             out += [self.w_head, self.b_head]
         return out
 
-    def forward(self, tape: Tape, z: Tensor, edges: np.ndarray, train: bool = False,
+    def forward(self, tape: Tape, z: Tensor, edges: np.ndarray,
                 rng: np.random.Generator | None = None) -> Tensor:
+        """Logits for ``edges``; dropout runs only when given an ``rng``."""
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         zu = tape.gather_rows(z, edges[:, 0])
         zv = tape.gather_rows(z, edges[:, 1])
@@ -275,7 +268,7 @@ class Decoder:
         h = h0
         for w, b in zip(self.weights, self.biases):
             h = tape.relu(tape.add(tape.matmul(h, w), b))
-            h = tape.dropout(h, self.cfg.dropout, rng, train)
+            h = tape.dropout(h, self.cfg.dropout, rng)
             if self.cfg.decoder_residual:
                 h = tape.add(h, h0)
         return tape.add(tape.matmul(h, self.w_head), self.b_head)
@@ -315,9 +308,9 @@ class GAEModel:
                                                    self.input.w_proj)
         return self.encoder.forward(tape, ops, self.input.forward(tape))
 
-    def decode(self, tape: Tape, z: Tensor, edges: np.ndarray, train: bool = False,
+    def decode(self, tape: Tape, z: Tensor, edges: np.ndarray,
                rng: np.random.Generator | None = None) -> Tensor:
-        return self.decoder.forward(tape, z, edges, train=train, rng=rng)
+        return self.decoder.forward(tape, z, edges, rng)
 
     def embed(self, ops: MessageOperators) -> np.ndarray:
         """Eval-mode node embeddings: the encoder's forward pass on an

@@ -85,8 +85,8 @@ def train_step(model: GAEModel, batch: np.ndarray, cfg: ModelConfig, g_train: Gr
         on_batch(batch, bops)
     tape = Tape()
     z = model.encode(tape, bops)
-    logits_pos = model.decode(tape, z, batch, train=True, rng=rng)
-    logits_neg = model.decode(tape, z, negs, train=True, rng=rng)
+    logits_pos = model.decode(tape, z, batch, rng=rng)
+    logits_neg = model.decode(tape, z, negs, rng=rng)
     loss = bce_loss(tape, logits_pos, logits_neg)
     if not np.isfinite(loss.item()):
         raise FloatingPointError(
@@ -141,25 +141,25 @@ class RunRecord:
         }
 
 
-def fit(model: GAEModel, split: EdgeSplit, cfg: ModelConfig,
-        seed: int | np.random.Generator = 0, on_batch=None,
-        log=None) -> RunRecord:
+def fit(model: GAEModel, split: EdgeSplit, cfg: ModelConfig, seed: int = 0,
+        on_batch=None, log=None) -> RunRecord:
     """Train with early stopping on the validation metric.
 
     Message passing sees train edges only; the reported test metric always
-    comes from the checkpoint with the best validation metric. The first call
-    in a process also applies ``_keep_heap_warm``.
+    comes from the checkpoint with the best validation metric. The message
+    operator follows the model's own conv and dtype (``model.cfg``); ``cfg``
+    supplies the training settings. The first call in a process also applies
+    ``_keep_heap_warm``.
     """
     if len(split.valid_pos) == 0:
         raise ValueError("fit needs validation edges for model selection")
     _keep_heap_warm()
     rng = np.random.default_rng(seed)
-    seed_label = -1 if isinstance(seed, np.random.Generator) else int(seed)
     g_train = Graph.from_edges(model.graph.num_nodes, split.train_pos)
-    ops = MessageOperators.build(g_train, cfg.conv, cfg.np_dtype)
+    ops = MessageOperators.build(g_train, model.cfg.conv, model.cfg.np_dtype)
     adam = Adam(model.params(), cfg.lr)
     metric = MetricSpec.parse(cfg.metric)
-    record = RunRecord(seed=seed_label)
+    record = RunRecord(seed=seed)
     snap = None
     stale = 0
 

@@ -38,6 +38,20 @@ def test_unknown_axis_is_usage_error():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["split", "--out", "split.json", "--set", "lr=1"],
+    ["split", "--out", "split.json", "--preset", "x"],
+    ["split", "--out", "split.json", "--out-dir", "runs"],
+    ["index", "--out-dir", "runs"],
+    ["heuristic", "--which", "cn", "--out-dir", "runs"],
+])
+def test_flag_the_subcommand_does_not_read_is_usage_error(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # where a run that ignored the flag would write
+    with pytest.raises(SystemExit) as exc:
+        run(argv[:1] + ["--dataset", TINY] + argv[1:])
+    assert exc.value.code == 2
+
+
 def test_train_writes_run_directory(tmp_path):
     out = tmp_path / "runs"
     rc = run(["train", "--dataset", TINY, "--seeds", "2", "--set", FAST,

@@ -82,19 +82,21 @@ def test_shape_mismatches_raise():
     with pytest.raises(ValueError):
         tape.add(a, Tensor(np.ones((3, 3))))
     with pytest.raises(ValueError):
-        tape.dropout(a, 1.0, np.random.default_rng(0), train=True)
+        tape.dropout(a, 1.0, np.random.default_rng(0))
 
 
 def test_dropout_eval_is_identity():
     x = Tensor(np.random.default_rng(1).standard_normal((5, 4)))
-    out = Tape().dropout(x, 0.5, np.random.default_rng(0), train=False)
+    out = Tape().dropout(x, 0.5, None)
     assert out is x
+    with pytest.raises(ValueError):
+        Tape().dropout(x, 1.0, None)
 
 
 def test_dropout_train_preserves_expectation():
     rng = np.random.default_rng(2)
     x = Tensor(np.ones((400, 250)))
-    out = Tape().dropout(x, 0.3, rng, train=True)
+    out = Tape().dropout(x, 0.3, rng)
     # inverted dropout: E[out] == x
     assert abs(out.value.mean() - 1.0) < 0.01
     kept = out.value[out.value > 0]
@@ -222,7 +224,7 @@ def test_gather_rows_backward_equals_add_at(dtype):
 
 def test_dropout_mask_matches_the_float64_formula():
     x = Tensor(np.ones((64, 33), dtype=np.float32))
-    out = Tape().dropout(x, 0.3, np.random.default_rng(4), train=True)
+    out = Tape().dropout(x, 0.3, np.random.default_rng(4))
     want = ((np.random.default_rng(4).random(x.shape) >= 0.3) / 0.7).astype(np.float32)
     assert out.value.dtype == np.float32
     assert np.array_equal(out.value, want)

@@ -128,7 +128,7 @@ def test_mask_input_removes_batch_edges_from_messages():
     checked = []
 
     def on_batch(batch, bops):
-        dense = bops.norm.toarray()
+        dense = bops.op.toarray()
         for u, v in batch:
             assert dense[u, v] == 0.0 and dense[v, u] == 0.0
         checked.append(len(batch))
@@ -137,7 +137,7 @@ def test_mask_input_removes_batch_edges_from_messages():
                 on_batch=on_batch)
     assert sum(checked) == len(split.train_pos)
     # the shared operator itself is never mutated
-    assert ops.norm.mat.data.min() > 0.0
+    assert ops.op.mat.data.min() > 0.0
 
 
 def test_unmasked_training_passes_full_operator():
@@ -218,6 +218,22 @@ def test_fit_same_seed_bit_identical():
     rec_b = fit(GAEModel(g, cfg, seed=8), split, cfg, seed=8)
     assert rec_a.test_metric == rec_b.test_metric
     assert [e[:3] for e in rec_a.epochs] == [e[:3] for e in rec_b.epochs]
+
+
+def test_fit_builds_the_operator_from_the_model_config():
+    # Architecture comes from the model, training settings from cfg: a sage
+    # float64 model fitted with a cfg naming gcn/float32 trains exactly as
+    # with its own config.
+    g, split = trainable_graph(seed=11)
+    cfg = tiny_cfg(conv="sage", epochs=4, eval_every=2, dropout=0.2, mask_input=True)
+
+    def hexes(fit_cfg):
+        rec = fit(GAEModel(g, cfg, seed=11), split, fit_cfg, seed=11)
+        return ([float.hex(v) for _, loss, valid, _ in rec.epochs
+                 for v in (loss, valid) if v is not None]
+                + [float.hex(rec.best_valid), float.hex(rec.test_metric)])
+
+    assert hexes(cfg.replace(conv="gcn", dtype="float32")) == hexes(cfg)
 
 
 def test_fit_writes_csv(tmp_path):
