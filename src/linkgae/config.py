@@ -9,6 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .engine import dropout_threshold
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -47,8 +49,7 @@ class ModelConfig:
             raise ValueError("mlp_layers must be >= 1 for the mlp decoder")
         if self.batch_size < 1 or self.neg_ratio < 1 or self.epochs < 1:
             raise ValueError("batch_size, neg_ratio and epochs must be >= 1")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
+        dropout_threshold(self.dropout)
 
     def replace(self, **kw) -> "ModelConfig":
         return dataclasses.replace(self, **kw)

@@ -72,6 +72,21 @@ class _Node:
         self.backward = backward
 
 
+LANES = 1 << 16  # dropout draws one uint16 lane per element
+
+
+def dropout_threshold(p: float) -> int:
+    """The lane threshold ``round(p * LANES)`` of dropout rate ``p``.
+
+    Raises ValueError unless p is in [0, 1) and rounds below LANES, the
+    threshold that would drop every element.
+    """
+    t = round(p * LANES) if 0.0 <= p < 1.0 else LANES
+    if t == LANES:
+        raise ValueError(f"dropout rate must be in [0, 1 - 2^-17), got {p}")
+    return t
+
+
 class Tape:
     """Ordered record of forward ops; recording order is topological order.
 
@@ -100,12 +115,14 @@ class Tape:
         if not loss.tracked or not self.nodes or self.nodes[-1].out is not loss:
             raise RuntimeError("loss was not recorded on this tape")
         loss.grad = np.ones((1, 1), dtype=loss.value.dtype)
-        for node in reversed(self.nodes):
+        # Popping each node drops its closure, and with it the arrays the
+        # closure saved, as soon as the node has run.
+        while self.nodes:
+            node = self.nodes.pop()
             if node.out.grad is None:
                 continue  # branch not reaching the loss
             node.backward(node.out.grad)
             node.out.grad = None  # _emit outputs are never params: free the buffer
-        self.nodes.clear()
 
     # -- forward ops -------------------------------------------------------
 
@@ -224,20 +241,32 @@ class Tape:
         return self._emit(val, (x,), bwd)
 
     def dropout(self, x: Tensor, p: float, rng: np.random.Generator | None) -> Tensor:
-        """Inverted dropout, scaling by 1/(1-p), when given an rng (training);
-        the identity without one (eval)."""
-        if not 0.0 <= p < 1.0:
-            raise ValueError(f"dropout rate must be in [0, 1), got {p}")
-        if rng is None or p == 0.0:
+        """Inverted dropout when given an rng (training); the identity without
+        one (eval).
+
+        Each element draws a 16-bit lane, four to one 64-bit word of the
+        generator, and is kept iff its lane is at least
+        ``t = dropout_threshold(p)``; kept elements are scaled by
+        ``LANES/(LANES - t)``. The applied rate is ``t/LANES``, within 2^-17
+        of ``p``, and E[out] = x.
+        """
+        t = dropout_threshold(p)
+        if rng is None or t == 0:
             return x
-        # The float64 draw keeps the random stream; the mask is built in x's dtype.
-        mask = (rng.random(x.shape) >= p).astype(x.value.dtype)
-        mask *= x.value.dtype.type(1.0 / (1.0 - p))
+        n = x.value.size
+        lanes = rng.bit_generator.random_raw((n + 3) // 4).view(np.uint16)[:n]
+        # The tape keeps the 1-byte mask; x * keep * scale equals
+        # x * (keep * scale) to the bit, as 1.0 and 0.0 multiply exactly.
+        mask = lanes.reshape(x.shape) >= t
+        scale = x.value.dtype.type(LANES / (LANES - t))
         val = x.value * mask
+        val *= scale
 
         def bwd(up):
             if x.tracked:
-                _accumulate(x, up * mask)
+                g = up * mask
+                g *= scale
+                _accumulate(x, g)
 
         return self._emit(val, (x,), bwd)
 
@@ -345,12 +374,22 @@ class Adam:
         for i, p in enumerate(self.params):
             if p.grad is None:
                 continue
-            g = p.grad
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * (g * g)
-            m_hat = self.m[i] / c1
-            v_hat = self.v[i] / c2
-            p.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            # In place, in the out-of-place formula's operation order, so the
+            # result is bit-identical; p.grad is only read.
+            g, m, v = p.grad, self.m[i], self.v[i]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            tmp = g * g
+            tmp *= 1.0 - self.beta2
+            v *= self.beta2
+            v += tmp
+            np.divide(v, c2, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += self.eps
+            step = m / c1
+            step *= self.lr
+            step /= tmp
+            p.value -= step
             p.grad = None
 
 

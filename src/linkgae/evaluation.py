@@ -196,7 +196,8 @@ def _feature_graph(rng: np.random.Generator, n: int, p: float = 0.35,
 
 def model_gradient_check(conv: str = "gcn", seed: int = 0, n: int = 12,
                          h: float = 1e-5, input_mode: str = "raw-plus-learnable") -> float:
-    """Finite-difference check of the full training loss wrt every parameter.
+    """Finite-difference check of ``train.batch_loss``, the loss
+    ``train_step`` differentiates, wrt every parameter.
 
     Builds a small 64-bit model (5 raw features into ``input_mode``,
     residuals, dropout, output normalization) on a random graph and compares
@@ -204,7 +205,7 @@ def model_gradient_check(conv: str = "gcn", seed: int = 0, n: int = 12,
     relative error. ``input_mode="raw"`` with gcn or sage checks the
     propagated-feature encoder.
     """
-    from .train import bce_loss
+    from .train import batch_loss
 
     rng = np.random.default_rng(seed)
     g = _feature_graph(rng, n)
@@ -221,11 +222,8 @@ def model_gradient_check(conv: str = "gcn", seed: int = 0, n: int = 12,
     neg = neg[neg[:, 0] != neg[:, 1]]
 
     def loss(tape: Tape, *_params):
-        drop_rng = np.random.default_rng(55)  # same masks on every evaluation
-        z = model.encode(tape, ops)
-        lp = model.decode(tape, z, pos, rng=drop_rng)
-        ln = model.decode(tape, z, neg, rng=drop_rng)
-        return bce_loss(tape, lp, ln)
+        # a fresh rng draws the same dropout masks on every evaluation
+        return batch_loss(tape, model, ops, pos, neg, np.random.default_rng(55))
 
     return finite_difference_check(model.params(), loss, h=h)
 

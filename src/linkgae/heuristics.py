@@ -33,20 +33,21 @@ def _neighbor_codes(g: Graph, nodes: np.ndarray) -> np.ndarray:
 
 
 def _structural(g: Graph, pairs: np.ndarray, which: str) -> np.ndarray:
-    deg = g.degrees
-    with np.errstate(divide="ignore"):  # deg < 2 is shared only by a self-pair
-        weight = (np.ones(g.num_nodes) if which == "cn"
-                  else 1.0 / np.log(deg) if which == "aa" else 1.0 / deg)
     out = np.empty(len(pairs))
     for s in range(0, len(pairs), PAIR_CHUNK):
         u, v = pairs[s:s + PAIR_CHUNK].T
         nv = _neighbor_codes(g, v)
         i, r = np.divmod(nv[_find(_neighbor_codes(g, u), nv)[1]], g.num_nodes)
-        if which == "aa" and np.any(deg[r] < 2):
-            bad = u[i[deg[r] < 2][0]]
+        if which == "cn":
+            out[s:s + len(u)] = np.bincount(i, minlength=len(u))
+            continue
+        deg = g.indptr[r + 1] - g.indptr[r]  # degrees of the shared neighbors only
+        if which == "aa" and np.any(deg < 2):  # deg < 2 is shared only by a self-pair
+            bad = u[i[deg < 2][0]]
             raise ValueError(f"Adamic-Adar is undefined for self-pair ({bad}, {bad}): "
                              "it has a degree-1 neighbor, and 1/ln 1 is infinite")
-        out[s:s + len(u)] = np.bincount(i, weights=weight[r], minlength=len(u))
+        weight = 1.0 / np.log(deg) if which == "aa" else 1.0 / deg
+        out[s:s + len(u)] = np.bincount(i, weights=weight, minlength=len(u))
     return out
 
 

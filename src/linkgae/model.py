@@ -325,7 +325,7 @@ class GAEModel:
         tape, zt = Tape(record=False), Tensor(z)
         parts = [self.decode(tape, zt, flat[i:i + SCORE_CHUNK]).value[:, 0]
                  for i in range(0, len(flat), SCORE_CHUNK)]
-        scores = np.concatenate(parts) if parts else np.empty(0)
+        scores = np.concatenate(parts) if parts else np.empty(0, dtype=self.cfg.np_dtype)
         return scores.reshape(edges.shape[:-1])
 
     def score_edges(self, ops: MessageOperators, edges: np.ndarray) -> np.ndarray:

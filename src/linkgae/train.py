@@ -60,12 +60,22 @@ def _keep_heap_warm() -> None:
             return
 
 
-def bce_loss(tape: Tape, pos_logits: Tensor, neg_logits: Tensor) -> Tensor:
-    """Mean binary cross-entropy over positives (label 1) and negatives (label 0)."""
-    logits = tape.concat_rows(pos_logits, neg_logits)
+def bce_loss(tape: Tape, logits: Tensor, positives: int) -> Tensor:
+    """Mean binary cross-entropy; the first ``positives`` rows of ``logits``
+    have label 1 and the rest label 0."""
     labels = np.zeros(logits.shape, dtype=logits.dtype)
-    labels[:pos_logits.shape[0]] = 1.0
+    labels[:positives] = 1.0
     return tape.bce_with_logits(logits, Tensor(labels))
+
+
+def batch_loss(tape: Tape, model: GAEModel, ops: MessageOperators, pos: np.ndarray,
+               neg: np.ndarray, rng: np.random.Generator | None) -> Tensor:
+    """The training loss: encode, then one decode over ``pos`` followed by
+    ``neg`` (one gather per endpoint and one dropout draw per decoder layer),
+    then ``bce_loss``."""
+    z = model.encode(tape, ops)
+    logits = model.decode(tape, z, np.concatenate([pos, neg]), rng=rng)
+    return bce_loss(tape, logits, len(pos))
 
 
 def train_step(model: GAEModel, batch: np.ndarray, cfg: ModelConfig, g_train: Graph,
@@ -84,10 +94,7 @@ def train_step(model: GAEModel, batch: np.ndarray, cfg: ModelConfig, g_train: Gr
     if on_batch is not None:
         on_batch(batch, bops)
     tape = Tape()
-    z = model.encode(tape, bops)
-    logits_pos = model.decode(tape, z, batch, rng=rng)
-    logits_neg = model.decode(tape, z, negs, rng=rng)
-    loss = bce_loss(tape, logits_pos, logits_neg)
+    loss = batch_loss(tape, model, bops, batch, negs, rng)
     if not np.isfinite(loss.item()):
         raise FloatingPointError(
             f"non-finite training loss {loss.item()} at epoch {epoch}, step {step}")

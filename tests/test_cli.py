@@ -230,8 +230,8 @@ def test_non_finite_loss_exits_1_with_one_line(capsys, monkeypatch, tmp_path):
     from linkgae import train
     from linkgae.engine import Tensor
 
-    def nan_loss(tape, pos, neg):
-        return tape.add(original(tape, pos, neg), Tensor(np.array([[np.nan]])))
+    def nan_loss(tape, logits, positives):
+        return tape.add(original(tape, logits, positives), Tensor(np.array([[np.nan]])))
 
     original = train.bce_loss
     monkeypatch.setattr(train, "bce_loss", nan_loss)

@@ -1,7 +1,10 @@
+import weakref
+
 import numpy as np
 import pytest
 
 from linkgae import engine
+from linkgae.config import ModelConfig
 from linkgae.engine import (Adam, Tape, Tensor, finite_difference_check,
                             gradient_check_all, _accumulate, _op_cases)
 
@@ -222,12 +225,90 @@ def test_gather_rows_backward_equals_add_at(dtype):
     assert out.value.shape == (300, 7)
 
 
-def test_dropout_mask_matches_the_float64_formula():
-    x = Tensor(np.ones((64, 33), dtype=np.float32))
+def test_dropout_mask_matches_the_16bit_lane_formula():
+    # 63 * 33 elements is not a multiple of 4: the last word's spare lanes go unused.
+    x = Tensor(np.ones((63, 33), dtype=np.float32))
     out = Tape().dropout(x, 0.3, np.random.default_rng(4))
-    want = ((np.random.default_rng(4).random(x.shape) >= 0.3) / 0.7).astype(np.float32)
+    t = round(0.3 * 65536)
+    words = np.random.default_rng(4).bit_generator.random_raw(-(-x.value.size // 4))
+    lanes = np.array([(int(w) >> (16 * k)) & 0xFFFF for w in words for k in range(4)])
+    keep = (lanes[:x.value.size] >= t).reshape(x.shape)
+    want = np.where(keep, np.float32(65536 / (65536 - t)), np.float32(0.0))
     assert out.value.dtype == np.float32
     assert np.array_equal(out.value, want)
+
+
+@pytest.mark.parametrize("p", [0.1, 0.3, 0.6])
+def test_dropout_keep_rate_and_mean_on_a_million_elements(p):
+    x = Tensor(np.full((1000, 1000), 2.0))
+    out = Tape().dropout(x, p, np.random.default_rng(11))
+    keep = 1.0 - engine.dropout_threshold(p) / engine.LANES
+    sigma = np.sqrt(keep * (1.0 - keep) / x.value.size)
+    assert abs(np.mean(out.value != 0.0) - keep) < 4 * sigma
+    # mean(out) / x is the kept share times 1/keep
+    assert abs(out.value.mean() / 2.0 - 1.0) < 4 * sigma / keep
+
+
+@pytest.mark.parametrize("p", [1.0 - 2.0**-17, 1.0 - 2.0**-20, 1.0, -0.1])
+def test_dropout_rate_that_rounds_to_every_lane_is_rejected(p):
+    x = Tensor(np.ones((2, 3)))
+    for rng in (np.random.default_rng(0), None):
+        with pytest.raises(ValueError, match="dropout rate"):
+            Tape().dropout(x, p, rng)
+    with pytest.raises(ValueError, match="dropout rate"):
+        ModelConfig(dropout=p)
+
+
+def test_largest_accepted_dropout_rate_keeps_one_lane_value():
+    p = np.nextafter(1.0 - 2.0**-17, 0.0)
+    assert engine.dropout_threshold(p) == 65535
+    ModelConfig(dropout=p)
+    out = Tape().dropout(Tensor(np.ones((1000, 1000))), p, np.random.default_rng(0))
+    assert set(np.unique(out.value)) <= {0.0, 65536.0}
+
+
+def test_backward_frees_each_node_once_it_has_run():
+    # probe is recorded before dropout, so its backward runs after dropout's;
+    # by then the dropout node and the mask its closure saved must be gone.
+    x = Tensor(np.ones((8, 4)), param=True)
+    tape = Tape()
+    mask_ref, mask_alive = [], []
+
+    def probe_bwd(up):
+        mask_alive.append(mask_ref[0]() is not None)
+        _accumulate(x, up)
+
+    h = tape._emit(x.value.copy(), (x,), probe_bwd)
+    d = tape.dropout(h, 0.5, np.random.default_rng(0))
+    saved = [c.cell_contents for c in tape.nodes[-1].backward.__closure__]
+    mask_ref.append(weakref.ref(next(a for a in saved if isinstance(a, np.ndarray))))
+    del saved
+    tape.backward(tape.sum(d))
+    assert mask_alive == [False]
+    assert tape.nodes == []
+    assert mask_ref[0]() is None
+    assert np.array_equal(x.grad, d.value)  # d = x * mask with x = 1
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_in_place_matches_the_out_of_place_formula(dtype):
+    rng = np.random.default_rng(5)
+    p = Tensor(rng.standard_normal((6, 5)).astype(dtype), param=True)
+    adam = Adam([p], lr=0.01)
+    want = p.value.copy()
+    m, v = np.zeros_like(want), np.zeros_like(want)
+    for t in range(1, 4):
+        g = rng.standard_normal(p.shape).astype(dtype)
+        p.grad = g
+        before = g.copy()
+        adam.step()
+        assert np.array_equal(g, before)  # the gradient is only read
+        m = 0.9 * m + (1.0 - 0.9) * g
+        v = 0.999 * v + (1.0 - 0.999) * (g * g)
+        want -= 0.01 * (m / (1.0 - 0.9**t)) / (np.sqrt(v / (1.0 - 0.999**t)) + 1e-8)
+        assert p.value.dtype == dtype
+        assert ([float(a).hex() for a in p.value.ravel()]
+                == [float(a).hex() for a in want.ravel()])
 
 
 def _aliasing_case(add):

@@ -50,6 +50,33 @@ def set_oracle(g: Graph, pairs: np.ndarray, which: str) -> np.ndarray:
     return np.array(out, dtype=np.float64).reshape(pairs.shape[:-1])
 
 
+def test_shared_neighbor_weights_match_the_all_node_formula(rng):
+    # The weight vector over all n nodes, indexed at the shared neighbors and
+    # summed in ascending neighbor order. Sparse graphs have many degree-1
+    # nodes; self-pairs share them (CN, RA), other pairs never do.
+    degree_one = 0
+    for _ in range(20):
+        g = random_graph(rng, n_min=20, n_max=60, p=0.06)
+        deg = g.degrees
+        degree_one += int(np.sum(deg == 1))
+        with np.errstate(divide="ignore"):
+            weights = {"cn": np.ones(g.num_nodes), "aa": 1.0 / np.log(deg), "ra": 1.0 / deg}
+        nbrs = [g.indices[g.indptr[u]:g.indptr[u + 1]] for u in range(g.num_nodes)]
+        drawn = rng.integers(0, g.num_nodes, (300, 2))
+        selves = np.repeat(np.arange(g.num_nodes), 2).reshape(-1, 2)
+        for which, w in weights.items():
+            pairs = (drawn[drawn[:, 0] != drawn[:, 1]] if which == "aa"
+                     else np.concatenate([drawn, selves]))
+            want = []
+            for u, v in pairs:
+                total = 0.0
+                for r in np.intersect1d(nbrs[u], nbrs[v]):
+                    total += w[r]
+                want.append(total.hex())
+            assert [float(x).hex() for x in score_edges(g, pairs, which)] == want
+    assert degree_one > 0
+
+
 def test_structural_heuristics_match_set_oracle(rng):
     # Whole batches over random graphs: sparse graphs leave isolated nodes,
     # draws repeat pairs, and CN also sees u == v (AA is undefined there when

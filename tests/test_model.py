@@ -368,6 +368,16 @@ def test_model_checkpoint_roundtrip(tmp_path, rng):
     assert np.allclose(before, after, atol=1e-12)
 
 
+def test_score_edges_of_zero_pairs_has_the_model_dtype(rng):
+    g = random_graph(rng, n_min=10, n_max=14)
+    model = GAEModel(g, small_cfg(dtype="float32"), seed=7)
+    ops = MessageOperators.build(g, "gcn", np.float32)
+    empty = model.score_edges(ops, np.empty((0, 2), dtype=np.int64))
+    some = model.score_edges(ops, g.edge_list()[:3])
+    assert empty.shape == (0,)
+    assert empty.dtype == some.dtype == np.float32
+
+
 def test_model_scores_are_deterministic(rng):
     g = random_graph(rng, n_min=10, n_max=14)
     cfg = small_cfg()

@@ -40,25 +40,25 @@ def trainable_graph(seed=0, n=60):
 
 def test_bce_one_positive_at_zero_logit():
     tape = Tape()
-    loss = bce_loss(tape, Tensor([[0.0]], param=True), Tensor(np.empty((0, 1))))
+    loss = bce_loss(tape, Tensor([[0.0]], param=True), 1)
     assert abs(loss.item() - np.log(2.0)) < 1e-12
 
 
 def test_bce_saturated_pair_is_near_zero():
     tape = Tape()
-    loss = bce_loss(tape, Tensor([[30.0]], param=True), Tensor([[-30.0]], param=True))
+    loss = bce_loss(tape, Tensor([[30.0], [-30.0]], param=True), 1)
     assert loss.item() < 1e-12
 
 
 def test_bce_pos_and_neg_at_zero_logit():
     tape = Tape()
-    loss = bce_loss(tape, Tensor([[0.0]], param=True), Tensor([[0.0]], param=True))
+    loss = bce_loss(tape, Tensor([[0.0], [0.0]], param=True), 1)
     assert abs(loss.item() - np.log(2.0)) < 1e-12
 
 
 def test_bce_empty_raises():
     with pytest.raises(ValueError):
-        bce_loss(Tape(), Tensor(np.empty((0, 1))), Tensor(np.empty((0, 1))))
+        bce_loss(Tape(), Tensor(np.empty((0, 1))), 0)
 
 
 # -- train_epoch ----------------------------------------------------------------
@@ -299,8 +299,30 @@ def test_train_step_runs_and_updates():
     assert changed
 
 
-def nan_loss(tape, pos, neg):
-    return tape.add(bce_loss(tape, pos, neg), Tensor(np.array([[np.nan]])))
+def test_train_step_decodes_positives_then_negatives_once(monkeypatch):
+    g, split = trainable_graph(seed=11)
+    cfg = tiny_cfg(batch_size=16, dropout=0.3)
+    model = GAEModel(g, cfg, seed=11)
+    g_train = Graph.from_edges(g.num_nodes, split.train_pos)
+    ops = MessageOperators.build(g_train, cfg.conv, cfg.np_dtype)
+    decoded = []
+    decode = GAEModel.decode
+
+    def spy(self, tape, z, edges, rng=None):
+        decoded.append(np.array(edges))
+        return decode(self, tape, z, edges, rng=rng)
+
+    monkeypatch.setattr(GAEModel, "decode", spy)
+    batch = split.train_pos[:16]
+    _, pairs = train_step(model, batch, cfg, g_train, ops, Adam(model.params(), cfg.lr),
+                          np.random.default_rng(0))
+    negs = train.sample_negatives(g_train, cfg.neg_ratio * 16, np.random.default_rng(0))
+    assert len(decoded) == 1 and len(decoded[0]) == pairs
+    assert np.array_equal(decoded[0], np.concatenate([batch, negs]))
+
+
+def nan_loss(tape, logits, positives):
+    return tape.add(bce_loss(tape, logits, positives), Tensor(np.array([[np.nan]])))
 
 
 def test_non_finite_loss_stops_training_naming_epoch_and_step(monkeypatch):
