@@ -255,8 +255,8 @@ class Tape:
             return x
         n = x.value.size
         lanes = rng.bit_generator.random_raw((n + 3) // 4).view(np.uint16)[:n]
-        # The tape keeps the 1-byte mask; x * keep * scale equals
-        # x * (keep * scale) to the bit, as 1.0 and 0.0 multiply exactly.
+        # Backward keeps only the 1-byte mask; multiplying by it before the
+        # scale is exact, so the order does not change a bit.
         mask = lanes.reshape(x.shape) >= t
         scale = x.value.dtype.type(LANES / (LANES - t))
         val = x.value * mask
@@ -374,8 +374,8 @@ class Adam:
         for i, p in enumerate(self.params):
             if p.grad is None:
                 continue
-            # In place, in the out-of-place formula's operation order, so the
-            # result is bit-identical; p.grad is only read.
+            # In place, in the docstring formula's operation order, so the
+            # result matches it to the bit; p.grad is only read.
             g, m, v = p.grad, self.m[i], self.v[i]
             m *= self.beta1
             m += (1.0 - self.beta1) * g
