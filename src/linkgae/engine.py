@@ -133,7 +133,9 @@ class Tape:
 
         def bwd(up):
             if a.tracked:
-                _accumulate(a, up @ b.value.T)
+                # For a width-1 output this is an outer product, not a k=1 GEMM;
+                # + 0.0 turns -0.0 into the +0.0 of the GEMM's zero-started sum.
+                _accumulate(a, up * b.value.T + 0.0 if up.shape[1] == 1 else up @ b.value.T)
             if b.tracked:
                 _accumulate(b, a.value.T @ up)
 
@@ -220,12 +222,10 @@ class Tape:
 
         def bwd(up):
             if x.tracked:
-                # One-hot (rows=idx, cols=arange) @ up sums each row's
-                # gradients in index order, exactly as np.add.at would.
-                order = np.argsort(idx, kind="stable")
-                indptr = np.zeros(x.shape[0] + 1, dtype=np.int64)
-                np.cumsum(np.bincount(idx, minlength=x.shape[0]), out=indptr[1:])
-                onehot = sp.csr_matrix((np.ones(len(idx), dtype=up.dtype), order, indptr),
+                # Column j of the CSC one-hot adds up[j] into row idx[j], in
+                # increasing j, exactly as np.add.at would.
+                ones = np.ones(len(idx), dtype=up.dtype)
+                onehot = sp.csc_matrix((ones, idx, np.arange(len(idx) + 1)),
                                        shape=(x.shape[0], len(idx)))
                 _accumulate(x, onehot @ up)
 
@@ -317,8 +317,10 @@ class Tape:
 
         def bwd(up):
             if x.tracked:
-                proj = np.sum(up * val, axis=1, keepdims=True)
-                _accumulate(x, (up - val * proj) / norms)
+                g = val * np.sum(up * val, axis=1, keepdims=True)
+                np.subtract(up, g, out=g)  # (up - val * proj) / norms, one temporary
+                g /= norms
+                _accumulate(x, g)
 
         return self._emit(val, (x,), bwd)
 
@@ -428,6 +430,7 @@ def _op_cases(rng: np.random.Generator) -> dict[str, tuple[list[Tensor], Callabl
 
     return {
         "matmul": ([a, b], lambda t, x, y: t.matmul(x, y)),
+        "matmul_column": ([a, _p(rng.standard_normal((3, 1)))], lambda t, x, y: t.matmul(x, y)),
         "spmm": ([spmm_in], lambda t, x: t.spmm(adj, x)),
         "spmm_asymmetric": ([spmm_in2], lambda t, x: t.spmm(mean_adj, x)),
         "add": ([a, c], lambda t, x, y: t.add(x, y)),

@@ -45,7 +45,8 @@ def mrr(pos_scores: np.ndarray, neg_scores: np.ndarray) -> float:
     if neg.size == 0:
         raise ValueError("mrr needs a non-empty negative set")
     if neg.ndim == 1:
-        ranks = 1 + np.sum(neg[None, :] >= pos[:, None], axis=1)
+        # the negatives >= each positive, from one sort: O(m + k) memory
+        ranks = 1 + len(neg) - np.searchsorted(np.sort(neg), pos, side="left")
     elif neg.ndim == 2:
         if neg.shape[0] != pos.shape[0]:
             raise ValueError("per-source negatives must match the positive count")

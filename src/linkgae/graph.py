@@ -389,13 +389,11 @@ def sample_negatives(g: Graph, count: int, seed: int | np.random.Generator) -> A
     if count > available:
         raise ValueError(f"requested {count} negatives but only {available} non-edges exist")
 
-    def non_edges(codes: Array) -> Array:
-        return codes[~_find(g._pair_codes, codes)[1]]
-
     if count * 3 >= available:
         # Dense regime: enumerate every non-edge and sample without replacement.
         iu, ju = np.triu_indices(n, k=1)
-        pool = non_edges(iu.astype(np.int64) * n + ju)
+        codes = iu.astype(np.int64) * n + ju
+        pool = codes[~_find(g._pair_codes, codes)[1]]
         picked = rng.choice(pool, size=count, replace=False)
         return _decode(np.sort(picked), n)
 
@@ -405,9 +403,11 @@ def sample_negatives(g: Graph, count: int, seed: int | np.random.Generator) -> A
         u = rng.integers(0, n, k)
         v = rng.integers(0, n, k)
         keep = u != v
-        cand = non_edges(np.minimum(u[keep], v[keep]) * n + np.maximum(u[keep], v[keep]))
-        # Keep the first occurrence of every code, in draw order.
-        both = np.concatenate([taken, cand])
-        first = np.sort(np.unique(both, return_index=True)[1])
-        taken = both[first[:count]]
+        both = np.concatenate([taken, np.minimum(u[keep], v[keep]) * n
+                               + np.maximum(u[keep], v[keep])])
+        # Each code's first draw (the sort is stable) if it is a non-edge, in draw order.
+        order = np.argsort(both, kind="stable")
+        codes = both[order]
+        first = (np.diff(codes, prepend=-1) != 0) & ~_find(g._pair_codes, codes)[1]
+        taken = both[np.sort(order[first])[:count]]
     return _decode(taken, n)

@@ -129,6 +129,7 @@ class Encoder:
             raise ValueError(f"unknown convolution {cfg.conv!r}")
         self.cfg = cfg
         d = cfg.hidden_dim
+        self._propagated: tuple | None = None  # (op, x, features) of forward_propagated
         self.layers: list[dict[str, Tensor]] = []
         for l in range(cfg.mpnn_layers):
             if cfg.conv == "gcn":
@@ -200,9 +201,6 @@ class Encoder:
         C_k <- C_k W_self,l + C_{k-1} W_neigh,l (+ W_proj for k = 0).
         Coefficients known to be zero are skipped.
         """
-        feats = [x]
-        for _ in self.layers:
-            feats.append(ops.op.matvec(feats[-1]))
         coef: list[Tensor | None] = [w_proj]
         for layer in self.layers:
             w_self = layer.get("w_self")  # gcn has none
@@ -225,7 +223,19 @@ class Encoder:
         stacked = coef[keep[0]]
         for k in keep[1:]:
             stacked = tape.concat_rows(stacked, coef[k])
-        z = tape.matmul(Tensor(np.concatenate([feats[k] for k in keep], axis=1)), stacked)
+        # The features are reused while ops.op and x are the objects of the
+        # last call: operators are immutable and features are never written in
+        # place. The old entry goes first, so a miss never holds two.
+        hit = self._propagated
+        if hit is None or hit[0] is not ops.op or hit[1] is not x:
+            self._propagated = None
+            feats = [x]
+            for _ in self.layers:
+                feats.append(ops.op.matvec(feats[-1]))
+            hit = (ops.op, x, np.concatenate([feats[k] for k in keep], axis=1))
+            hit[2].flags.writeable = False
+            self._propagated = hit
+        z = tape.matmul(Tensor(hit[2]), stacked)
         return tape.l2_normalize(z) if self.cfg.normalize_embeddings else z
 
 

@@ -311,6 +311,42 @@ def test_adam_in_place_matches_the_out_of_place_formula(dtype):
                 == [float(a).hex() for a in want.ravel()])
 
 
+def _hex(a: np.ndarray) -> list[str]:
+    return [float(x).hex() for x in a.ravel()]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_width_one_matmul_backward_matches_the_gemm(dtype):
+    rng = np.random.default_rng(6)
+    h = Tensor(rng.standard_normal((300, 16)).astype(dtype), param=True)
+    w = Tensor(rng.standard_normal((16, 1)).astype(dtype), param=True)
+    w.value[::3] *= -1.0
+    up = rng.standard_normal((300, 1)).astype(dtype)
+    up[::7] = 0.0  # zero times a negative weight: the GEMM gives +0.0
+    up[1::7] = -0.0
+    tape = Tape()
+    tape.matmul(h, w)
+    tape.nodes[-1].backward(up)
+    assert h.grad.dtype == dtype
+    assert _hex(h.grad) == _hex(up @ w.value.T)
+    assert _hex(w.grad) == _hex(h.value.T @ up)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_l2_normalize_backward_matches_the_formula(dtype):
+    rng = np.random.default_rng(8)
+    x = Tensor(rng.standard_normal((200, 12)).astype(dtype), param=True)
+    x.value[3] = 0.0  # a zero row keeps the eps floor in play
+    up = rng.standard_normal((200, 12)).astype(dtype)
+    tape = Tape()
+    val = tape.l2_normalize(x).value
+    tape.nodes[-1].backward(up)
+    norms = np.maximum(np.sqrt(np.sum(x.value * x.value, axis=1, keepdims=True)), 1e-12)
+    proj = np.sum(up * val, axis=1, keepdims=True)
+    assert x.grad.dtype == dtype
+    assert _hex(x.grad) == _hex((up - val * proj) / norms)
+
+
 def _aliasing_case(add):
     # y reaches the output through add and through y * y; add runs first in
     # backward, so y's gradient buffer starts as what add hands it and the

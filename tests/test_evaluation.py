@@ -52,6 +52,26 @@ def test_mrr_tie_is_pessimistic():
     assert mrr([0.5], [0.5]) == 0.5
 
 
+def test_shared_pool_mrr_matches_the_broadcast_count(rng):
+    for _ in range(200):
+        m, k = rng.integers(1, 60, 2)
+        pos = rng.integers(-3, 4, m).astype(float)  # small ints: many ties
+        neg = rng.integers(-3, 4, k).astype(float)
+        pos[rng.random(m) < 0.1] = np.inf
+        neg[rng.random(k) < 0.1] = -np.inf
+        neg[rng.random(k) < 0.1] = np.inf
+        want = np.mean(1.0 / (1 + np.sum(neg[None, :] >= pos[:, None], axis=1)))
+        assert mrr(pos, neg).hex() == float(want).hex()
+
+
+def test_shared_pool_mrr_of_a_hundred_thousand_by_a_hundred_thousand():
+    # The m x k comparison would need 10 GB; positive i sits above i + 1
+    # negatives, so it ranks k - i and the MRR is H_k / k.
+    k = 100_000
+    got = mrr(np.arange(k) + 0.5, np.arange(k, dtype=float)[::-1])
+    assert abs(got - np.sum(1.0 / np.arange(1, k + 1)) / k) < 1e-12
+
+
 def test_mrr_per_source_sets():
     pos = [0.7, 0.9]
     neg = np.array([[0.9, 0.5], [0.1, 0.2]])

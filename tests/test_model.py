@@ -3,7 +3,7 @@ import pytest
 
 from linkgae.config import ModelConfig
 from linkgae.engine import Tape
-from linkgae.graph import Graph, normalize
+from linkgae.graph import Graph, SparseOperator, normalize
 from linkgae.model import (CONV_OPERATORS, Decoder, Encoder, GAEModel,
                            InputRepresentation, MessageOperators, orthogonal_rows)
 from linkgae.evaluation import orthogonality_stats
@@ -284,6 +284,50 @@ def test_raw_linear_encoders_propagate_features(conv, masked, rng, monkeypatch):
     model = GAEModel(g, small_cfg(input_mode="raw", conv=conv, hidden_dim=6), seed=0)
     assert model.propagates_features
     assert _spmm_calls(model, ops, monkeypatch) == 0
+
+
+def _matvec_calls(monkeypatch) -> list:
+    calls = []
+    original = SparseOperator.matvec
+    monkeypatch.setattr(SparseOperator, "matvec",
+                        lambda self, x: calls.append(1) or original(self, x))
+    return calls
+
+
+@pytest.mark.parametrize("conv", ["gcn", "sage"])
+def test_encodes_on_one_operator_propagate_the_features_once(conv, rng, monkeypatch):
+    g = random_graph(rng, n_min=20, n_max=30, p=0.3, features=5)
+    ops = MessageOperators.build(g, conv, np.float64)
+    cfg = small_cfg(input_mode="raw", conv=conv, mpnn_layers=3, hidden_dim=8)
+    model = GAEModel(g, cfg, seed=0)
+    calls = _matvec_calls(monkeypatch)
+    first = model.encode(Tape(), ops).value
+    second = model.embed(ops)
+    assert len(calls) == 3
+    assert first.tobytes() == second.tobytes()
+    cached = model.encoder._propagated[2]
+    assert not cached.flags.writeable
+    with pytest.raises(ValueError):
+        cached[0, 0] = 1.0
+
+
+def test_a_new_operator_or_new_features_rebuild_the_propagated_entry(rng, monkeypatch):
+    g = random_graph(rng, n_min=20, n_max=30, p=0.3, features=5)
+    ops = MessageOperators.build(g, "gcn", np.float64)
+    model = GAEModel(g, small_cfg(input_mode="raw", mpnn_layers=2, hidden_dim=8), seed=0)
+    model.embed(ops)
+    calls = _matvec_calls(monkeypatch)
+    masked = ops.masked(g.edge_list()[:4])
+    z_masked = model.embed(masked)
+    assert len(calls) == 2 and model.encoder._propagated[0] is masked.op
+    model.input.raw.value = model.input.raw.value + 1.0
+    z_shifted = model.embed(masked)
+    assert len(calls) == 4 and model.encoder._propagated[1] is model.input.raw.value
+    assert not np.array_equal(z_shifted, z_masked)
+    model.embed(masked)
+    assert len(calls) == 4
+    fresh = GAEModel(g, model.cfg, seed=0)  # nothing propagated before the masked operator
+    assert z_masked.tobytes() == fresh.embed(masked).tobytes()
 
 
 @pytest.mark.parametrize("change", [
