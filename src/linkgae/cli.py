@@ -45,21 +45,19 @@ SYNTH_DEFAULT = ModelConfig(
 
 
 def resolve_graph(dataset: str, data_dir: str) -> Graph:
-    """Dataset name under data_dir, a direct edge-file path, or synth[:...]."""
+    """synth[:...], an edge-file path, or a dataset name under data_dir; an
+    edge file is read with its sibling features.csv when there is one."""
     if dataset.startswith("synth"):
         return parse_synth_spec(dataset)
-    p = Path(dataset)
-    if p.is_file():
-        feats = p.with_name("features.csv")
-        return load_graph(p, feats if feats.exists() else None)
-    d = Path(data_dir) / dataset
-    edge = d / "edges.txt"
-    if edge.is_file():
-        feats = d / "features.csv"
-        return load_graph(edge, feats if feats.exists() else None)
-    raise FileNotFoundError(
-        f"dataset {dataset!r}: no edge file at {edge} "
-        "(see README for the expected data layout)")
+    edge = Path(dataset)
+    if not edge.is_file():
+        edge = Path(data_dir) / dataset / "edges.txt"
+    if not edge.is_file():
+        raise FileNotFoundError(
+            f"dataset {dataset!r}: no edge file at {edge} "
+            "(see README for the expected data layout)")
+    feats = edge.with_name("features.csv")
+    return load_graph(edge, feats if feats.exists() else None)
 
 
 def resolve_config(args) -> ModelConfig:
@@ -71,7 +69,9 @@ def resolve_config(args) -> ModelConfig:
         cfg = SYNTH_DEFAULT
     else:
         cfg = ModelConfig()
-    return apply_overrides(cfg, getattr(args, "set", "") or "")
+    cfg = apply_overrides(cfg, getattr(args, "set", "") or "")
+    MetricSpec.parse(cfg.metric)  # fail before any output is written
+    return cfg
 
 
 def _run_seed(g: Graph, cfg: ModelConfig, seed: int,

@@ -49,6 +49,9 @@ class ModelConfig:
             raise ValueError("mlp_layers must be >= 1 for the mlp decoder")
         if self.batch_size < 1 or self.neg_ratio < 1 or self.epochs < 1:
             raise ValueError("batch_size, neg_ratio and epochs must be >= 1")
+        for name in ("eval_every", "patience"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         dropout_threshold(self.dropout)
 
     def replace(self, **kw) -> "ModelConfig":
@@ -99,17 +102,6 @@ PRESETS: dict[str, ModelConfig] = {
         normalize_embeddings=True, mlp_layers=5, lr=5e-4, metric="mrr"),
 }
 
-# Short override keys accepted by --set on top of the canonical field names.
-_ALIASES = {
-    "input": "input_mode",
-    "layers": "mpnn_layers",
-    "dim": "hidden_dim",
-    "batch": "batch_size",
-    "linear": "linear_encoder",
-    "normalization": "normalize_embeddings",
-}
-
-
 def preset(name: str) -> ModelConfig:
     if name not in PRESETS:
         raise KeyError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
@@ -131,7 +123,7 @@ def _coerce(field: dataclasses.Field, raw: str):
 
 
 def apply_overrides(cfg: ModelConfig, spec: str) -> ModelConfig:
-    """Apply "key=value,key=value" overrides; keys may use short aliases."""
+    """Apply "key=value,key=value" overrides; keys are ModelConfig field names."""
     if not spec:
         return cfg
     fields = {f.name: f for f in dataclasses.fields(ModelConfig)}
@@ -140,8 +132,8 @@ def apply_overrides(cfg: ModelConfig, spec: str) -> ModelConfig:
         if "=" not in item:
             raise ValueError(f"override {item!r} is not of the form key=value")
         key, raw = item.split("=", 1)
-        key = _ALIASES.get(key.strip(), key.strip())
+        key = key.strip()
         if key not in fields:
-            raise ValueError(f"unknown config key {key!r}")
+            raise ValueError(f"unknown config key {key!r}; choose from {sorted(fields)}")
         updates[key] = _coerce(fields[key], raw.strip())
     return cfg.replace(**updates)

@@ -49,10 +49,6 @@ class Tensor:
             raise ValueError(f"item() needs a scalar tensor, got shape {self.shape}")
         return float(self.value[0, 0])
 
-    def __repr__(self) -> str:
-        tag = self.name or ("param" if self.param else "tensor")
-        return f"Tensor({tag}, shape={self.shape}, dtype={self.dtype})"
-
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     # The first write keeps ``g`` as the gradient buffer, and later writes add

@@ -1,7 +1,7 @@
 """Ranking metrics, embedding diagnostics, and theory checks.
 
 Tie policy is pessimistic throughout: a positive tied with a negative
-counts as ranked below it.
+counts as ranked below it. A NaN score raises; an infinite one ranks.
 """
 
 from __future__ import annotations
@@ -18,10 +18,19 @@ from .graph import Graph, normalize
 from .model import Encoder, GAEModel, InputRepresentation, MessageOperators
 
 
+def _scores(scores: np.ndarray, role: str) -> np.ndarray:
+    """``scores`` as float64; a NaN raises, naming its role and flat index."""
+    x = np.asarray(scores, dtype=np.float64)
+    nan = np.isnan(x.ravel())
+    if nan.any():
+        raise ValueError(f"{role} score at flat index {int(np.argmax(nan))} is NaN")
+    return x
+
+
 def hits_at_k(pos_scores: np.ndarray, neg_scores: np.ndarray, k: int) -> float:
     """Fraction of positives scoring strictly above the k-th largest negative."""
-    pos = np.asarray(pos_scores, dtype=np.float64).ravel()
-    neg = np.asarray(neg_scores, dtype=np.float64).ravel()
+    pos = _scores(pos_scores, "positive").ravel()
+    neg = _scores(neg_scores, "negative").ravel()
     if k < 1:
         raise ValueError("k must be >= 1")
     if len(neg) < k:
@@ -38,8 +47,8 @@ def mrr(pos_scores: np.ndarray, neg_scores: np.ndarray) -> float:
     ``neg_scores`` is either one shared pool (1-D) or per-source candidate
     sets of shape (num_pos, num_neg).
     """
-    pos = np.asarray(pos_scores, dtype=np.float64).ravel()
-    neg = np.asarray(neg_scores, dtype=np.float64)
+    pos = _scores(pos_scores, "positive").ravel()
+    neg = _scores(neg_scores, "negative")
     if pos.size == 0:
         raise ValueError("mrr needs at least one positive")
     if neg.size == 0:
@@ -68,9 +77,9 @@ class MetricSpec:
         name = name.lower().strip()
         if name == "mrr":
             return cls("mrr")
-        if name.startswith("hits@"):
+        if name.startswith("hits@") and int(name.split("@", 1)[1]) >= 1:
             return cls("hits", int(name.split("@", 1)[1]))
-        raise ValueError(f"unknown metric {name!r} (use 'hits@K' or 'mrr')")
+        raise ValueError(f"unknown metric {name!r} (use 'hits@K' with K >= 1, or 'mrr')")
 
     def evaluate(self, pos_scores: np.ndarray, neg_scores: np.ndarray) -> float:
         if self.kind == "hits":

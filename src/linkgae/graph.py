@@ -107,22 +107,6 @@ class Graph:
         """Canonical (u < v) undirected edge list, shape (num_edges, 2)."""
         return _decode(self._pair_codes, self.num_nodes)
 
-    def validate(self) -> None:
-        """Check the CSR invariants; raises AssertionError on violation."""
-        n = self.num_nodes
-        assert self.indptr.shape == (n + 1,) and self.indptr[0] == 0
-        assert self.indptr[-1] == len(self.indices)
-        assert np.all(self.degrees >= 0), "indptr not monotone"
-        rows = np.repeat(np.arange(n, dtype=np.int64), self.degrees)
-        cols = np.asarray(self.indices, dtype=np.int64)
-        assert cols.size == 0 or (cols.min() >= 0 and cols.max() < n), "column out of range"
-        codes = rows * n + cols  # strictly increasing iff every row is strictly sorted
-        unsorted = np.diff(codes) <= 0
-        assert not unsorted.any(), f"row {rows[1:][unsorted][0]} not strictly sorted"
-        loops = rows == cols
-        assert not loops.any(), f"self-loop at {rows[loops][0]}"
-        assert np.array_equal(codes, np.sort(cols * n + rows)), "asymmetric edge"
-
 
 def load_graph(edge_file: str | Path, feature_file: str | Path | None = None) -> Graph:
     """Load an undirected graph from a "u v" edge file.

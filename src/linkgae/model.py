@@ -11,9 +11,7 @@ endpoint embeddings.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -24,7 +22,6 @@ from .graph import (Graph, SparseOperator, mean_adjacency, normalize,
 
 INPUT_MODES = ("raw", "learnable-orthogonal", "fixed-orthogonal", "all-ones",
                "random-uniform", "raw-plus-learnable")
-CHECKPOINT_VERSION = 1
 SCORE_CHUNK = 16384  # pairs decoded at a time by GAEModel.score_pairs
 
 
@@ -67,7 +64,6 @@ class InputRepresentation:
                 f"input mode {mode!r} needs node features; this graph has none "
                 "(use the all-ones or learnable-orthogonal mode instead)")
         self.mode = mode
-        self.dim = dim
         n = g.num_nodes
         self.table: Tensor | None = None
         self.raw: Tensor | None = None
@@ -351,24 +347,3 @@ class GAEModel:
     def restore(self, snap: list[np.ndarray]) -> None:
         for p, v in zip(self.params(), snap):
             p.value = v.copy()
-
-    def save(self, path: str | Path) -> None:
-        arrays = {name: t.value for name, t in self.named_params().items()}
-        np.savez_compressed(
-            path, __meta__=np.frombuffer(
-                json.dumps({"version": CHECKPOINT_VERSION,
-                            "config": self.cfg.to_dict()}).encode(), dtype=np.uint8),
-            **arrays)
-
-    @classmethod
-    def load(cls, path: str | Path, g: Graph) -> "GAEModel":
-        with np.load(path) as blob:
-            meta = json.loads(bytes(blob["__meta__"]).decode())
-            if meta["version"] != CHECKPOINT_VERSION:
-                raise ValueError(f"unsupported checkpoint version {meta['version']}")
-            cfg = ModelConfig(**meta["config"])
-            model = cls(g, cfg, seed=0)
-            named = model.named_params()
-            for name, t in named.items():
-                t.value = blob[name].astype(t.value.dtype)
-        return model

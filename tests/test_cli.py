@@ -8,7 +8,7 @@ import pytest
 from linkgae.cli import main
 from linkgae.graph import EdgeSplit
 
-FAST = ("dim=16,epochs=4,eval_every=2,patience=2,batch=512,mlp_layers=2,"
+FAST = ("hidden_dim=16,epochs=4,eval_every=2,patience=2,batch_size=512,mlp_layers=2,"
         "metric=hits@10,lr=0.01")
 TINY = "synth:n=100,cs=10,p_in=0.6,xdeg=1.0,fdim=4"
 
@@ -30,6 +30,32 @@ def test_unreadable_dataset_exits_2(tmp_path, capsys):
 def test_bad_override_exits_2(capsys):
     assert run(["train", "--dataset", TINY, "--set", "nonsense=1"]) == 2
     assert "unknown config key" in capsys.readouterr().err
+
+
+def test_override_keys_are_field_names(capsys):
+    assert run(["train", "--dataset", TINY, "--set", "dim=16"]) == 2
+    err = capsys.readouterr().err
+    assert "unknown config key 'dim'" in err and "'hidden_dim'" in err
+
+
+@pytest.mark.parametrize("key", ["eval_every", "patience"])
+def test_loop_settings_below_one_exit_2(key, capsys):
+    assert run(["train", "--dataset", TINY, "--set", f"{key}=0"]) == 2
+    assert f"{key} must be >= 1" in capsys.readouterr().err
+
+
+def test_hits_at_zero_exits_2_before_training(capsys, monkeypatch, tmp_path):
+    from linkgae import train
+
+    def no_epoch(*a, **k):
+        raise AssertionError("train_epoch ran")
+
+    monkeypatch.setattr(train, "train_epoch", no_epoch)
+    rc = run(["train", "--dataset", TINY, "--set", "metric=hits@0",
+              "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert "hits@0" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_unknown_axis_is_usage_error():

@@ -99,6 +99,37 @@ def test_metric_spec_parse():
     assert MetricSpec.parse("MRR").kind == "mrr"
     with pytest.raises(ValueError):
         MetricSpec.parse("auc")
+    for name in ("hits@0", "hits@-3"):
+        with pytest.raises(ValueError, match="K >= 1"):
+            MetricSpec.parse(name)
+
+
+# -- NaN scores ------------------------------------------------------------------
+
+NAN = np.nan
+
+
+@pytest.mark.parametrize("metric", [mrr, lambda p, n: hits_at_k(p, n, 1)],
+                         ids=["mrr", "hits@1"])
+@pytest.mark.parametrize("pos, neg, msg", [
+    ([NAN], [0.5, 0.7], "positive score at flat index 0 is NaN"),
+    ([0.5, 0.2, NAN], [0.4, 0.1], "positive score at flat index 2 is NaN"),
+    ([0.5], [0.1, NAN, NAN], "negative score at flat index 1 is NaN"),
+    ([NAN], [NAN, 0.1], "positive score at flat index 0 is NaN"),
+    ([0.5, 0.2], [[0.1, 0.3], [NAN, 0.4]], "negative score at flat index 2 is NaN"),
+    ([0.5, NAN], [[0.1, 0.3], [0.2, 0.4]], "positive score at flat index 1 is NaN"),
+], ids=["pos-first", "pos-later", "neg-pool", "pos-before-neg", "neg-per-source",
+        "pos-per-source"])
+def test_nan_scores_raise_naming_role_and_index(metric, pos, neg, msg):
+    with pytest.raises(ValueError, match=msg):
+        metric(np.array(pos), np.array(neg))
+
+
+def test_infinite_scores_still_rank():
+    assert mrr([np.inf], [0.5, np.inf]) == 0.5
+    assert mrr([-np.inf, 1.0], [[-np.inf, 0.0], [np.inf, 0.5]]) == (1 / 3 + 0.5) / 2
+    assert hits_at_k([np.inf, 0.2], [-np.inf, 0.1, 0.3], 1) == 0.5
+    assert hits_at_k([np.inf, -np.inf], [[0.1, np.inf], [-np.inf, 0.0]], 1) == 0.0
 
 
 # -- orthogonality stats ---------------------------------------------------------

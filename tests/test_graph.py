@@ -6,7 +6,7 @@ import pytest
 from linkgae.graph import (EdgeSplit, Graph, load_graph, mean_adjacency,
                            normalize, plain_adjacency, random_split,
                            sample_negatives)
-from tests.conftest import random_graph
+from tests.conftest import random_graph, validate_csr
 
 
 def p3() -> Graph:
@@ -79,20 +79,20 @@ def test_non_finite_features_are_rejected_naming_the_row(tmp_path, bad):
 def test_graph_invariants_on_random_graphs(rng):
     for _ in range(20):
         g = random_graph(rng, n_max=25)
-        g.validate()
+        validate_csr(g)
 
 
 def test_validate_rejects_broken_csr():
     # negative controls: each graph breaks exactly one invariant
     asymmetric = Graph(3, np.array([0, 1, 1, 1]), np.array([1]))
     with pytest.raises(AssertionError, match="asymmetric"):
-        asymmetric.validate()
+        validate_csr(asymmetric)
     unsorted = Graph(3, np.array([0, 2, 3, 4]), np.array([2, 1, 0, 0]))
     with pytest.raises(AssertionError, match="row 0 not strictly sorted"):
-        unsorted.validate()
+        validate_csr(unsorted)
     self_loop = Graph(2, np.array([0, 2, 3]), np.array([0, 1, 0]))
     with pytest.raises(AssertionError, match="self-loop at 0"):
-        self_loop.validate()
+        validate_csr(self_loop)
 
 
 # -- normalization and spmm ---------------------------------------------------

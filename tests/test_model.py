@@ -397,21 +397,6 @@ def test_model_masked_operators_zero_batch_edges(rng):
         assert np.array_equal(masked.op.toarray(), want)
 
 
-def test_model_checkpoint_roundtrip(tmp_path, rng):
-    g = random_graph(rng, n_min=8, n_max=12, features=5)
-    cfg = small_cfg(input_mode="raw")
-    model = GAEModel(g, cfg, seed=3)
-    ops = MessageOperators.build(g, "gcn", np.float64)
-    edges = np.array([[0, 1], [2, 3]])
-    before = model.score_edges(ops, edges)
-    path = tmp_path / "model.npz"
-    model.save(path)
-    back = GAEModel.load(path, g)
-    assert back.cfg == cfg
-    after = back.score_edges(ops, edges)
-    assert np.allclose(before, after, atol=1e-12)
-
-
 def test_score_edges_of_zero_pairs_has_the_model_dtype(rng):
     g = random_graph(rng, n_min=10, n_max=14)
     model = GAEModel(g, small_cfg(dtype="float32"), seed=7)
