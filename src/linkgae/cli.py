@@ -25,8 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import (ModelConfig, PRESETS, apply_overrides, config_hash,
-                     preset)
+from .config import (CHOICES, ModelConfig, PRESETS, apply_overrides,
+                     config_hash, preset)
 from .engine import gradient_check_all
 from .evaluation import (MetricSpec, cn_equivalence_sweep, heuristic_product_sweep,
                          model_gradient_check, orthogonality_stats,
@@ -159,8 +159,7 @@ def cmd_grid(args) -> int:
     g = resolve_graph(args.dataset, args.data_dir)
     cfg = resolve_config(args)
     if args.command == "ablate":
-        if args.axis == "input" and cfg.input_mode in ("raw", "raw-plus-learnable") \
-                and g.features is None:
+        if args.axis == "input" and cfg.input_mode == "raw" and g.features is None:
             cfg = cfg.replace(input_mode="learnable-orthogonal")
         variants, stem, label, prefix = ABLATION_AXES[args.axis], "ablation", "variant", ""
     else:
@@ -220,13 +219,10 @@ def cmd_verify(args) -> int:
 
     for name, err in sorted(gradient_check_all().items()):
         check(f"gradient {name}", err < 1e-4, f"rel err {err:.2e}")
-    for conv in ("gcn", "sage", "gin"):
-        err = model_gradient_check(conv)
-        check(f"gradient full model ({conv})", err < 1e-4, f"rel err {err:.2e}")
-    for conv in ("gcn", "sage"):
-        err = model_gradient_check(conv, input_mode="raw")
-        check(f"gradient full model ({conv}, raw features propagated)", err < 1e-4,
-              f"rel err {err:.2e}")
+    for conv in CHOICES["conv"]:
+        for mode in ("learnable-orthogonal", "raw"):
+            err = model_gradient_check(conv, input_mode=mode)
+            check(f"gradient full model ({conv}, {mode})", err < 1e-4, f"rel err {err:.2e}")
     dev = unrolled_encoder_deviation()
     check("unrolled encoder identity", dev <= 1e-12,
           f"max |dz| {dev:.2e} against the layer-wise loop (<= 1e-12), "

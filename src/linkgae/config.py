@@ -11,6 +11,15 @@ import numpy as np
 
 from .engine import dropout_threshold
 
+# The values each choice field of ModelConfig accepts.
+CHOICES: dict[str, tuple[str, ...]] = {
+    "input_mode": ("raw", "learnable-orthogonal", "fixed-orthogonal", "all-ones",
+                   "random-uniform"),
+    "conv": ("gcn", "sage", "gin"),
+    "decoder": ("dot", "mlp"),
+    "dtype": ("float32", "float64"),
+}
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -43,6 +52,10 @@ class ModelConfig:
     dtype: str = "float32"
 
     def __post_init__(self):
+        for name, allowed in CHOICES.items():
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ValueError(f"{name} must be one of {allowed}, got {value!r}")
         if self.mpnn_layers < 1 or self.hidden_dim < 1:
             raise ValueError("mpnn_layers and hidden_dim must be >= 1")
         if self.decoder == "mlp" and self.mlp_layers < 1:
@@ -62,7 +75,7 @@ class ModelConfig:
 
     @property
     def np_dtype(self):
-        return {"float32": np.float32, "float64": np.float64}[self.dtype]
+        return np.dtype(self.dtype).type
 
 
 def config_hash(cfg: ModelConfig) -> str:

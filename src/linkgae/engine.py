@@ -281,21 +281,6 @@ class Tape:
 
         return self._emit(val, (a, b), bwd)
 
-    def concat_cols(self, a: Tensor, b: Tensor) -> Tensor:
-        """Concatenate per-row features: (n,da),(n,db) -> (n,da+db)."""
-        if a.shape[0] != b.shape[0]:
-            raise ValueError(f"concat_cols height mismatch {a.shape} / {b.shape}")
-        val = np.concatenate([a.value, b.value], axis=1)
-        da = a.shape[1]
-
-        def bwd(up):
-            if a.tracked:
-                _accumulate(a, up[:, :da])
-            if b.tracked:
-                _accumulate(b, up[:, da:])
-
-        return self._emit(val, (a, b), bwd)
-
     def sum(self, x: Tensor) -> Tensor:
         val = np.array([[x.value.sum()]], dtype=x.value.dtype)
 
@@ -408,7 +393,6 @@ def _op_cases(rng: np.random.Generator) -> dict[str, tuple[list[Tensor], Callabl
     c = _p(rng.standard_normal((4, 3)))
     row = _p(rng.standard_normal((1, 3)))
     scalar = _p(rng.standard_normal((1, 1)))
-    wide = _p(rng.standard_normal((4, 2)))
     relu_in = _p(rng.standard_normal((4, 3)) + np.sign(rng.standard_normal((4, 3))) * 0.5)
     norm_in = _p(rng.standard_normal((4, 3)) + 2.0)
     logits = _p(rng.standard_normal((6, 1)) * 2.0)
@@ -438,7 +422,6 @@ def _op_cases(rng: np.random.Generator) -> dict[str, tuple[list[Tensor], Callabl
         "relu": ([relu_in], lambda t, x: t.relu(x)),
         "dropout": ([a], dropout_case),
         "concat_rows": ([a, c], lambda t, x, y: t.concat_rows(x, y)),
-        "concat_cols": ([a, wide], lambda t, x, y: t.concat_cols(x, y)),
         "sum": ([a], lambda t, x: t.sum(x)),
         "l2_normalize": ([norm_in], lambda t, x: t.l2_normalize(x)),
         "bce_with_logits": ([logits], lambda t, x: t.bce_with_logits(x, labels)),

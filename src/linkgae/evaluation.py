@@ -27,16 +27,34 @@ def _scores(scores: np.ndarray, role: str) -> np.ndarray:
     return x
 
 
+def _per_source_ranks(pos: np.ndarray, neg: np.ndarray) -> np.ndarray:
+    """1 + #(own negatives >= pos_i) per positive, for (num_pos, num_neg) negatives."""
+    if neg.shape[0] != pos.shape[0]:
+        raise ValueError("per-source negatives must match the positive count")
+    return 1 + np.sum(neg >= pos[:, None], axis=1)
+
+
 def hits_at_k(pos_scores: np.ndarray, neg_scores: np.ndarray, k: int) -> float:
-    """Fraction of positives scoring strictly above the k-th largest negative."""
+    """Fraction of positives ranked at most k, rank as in ``mrr``.
+
+    Against a shared pool (1-D) that is scoring strictly above its k-th
+    largest negative; per-source negatives, of shape (num_pos, num_neg),
+    rank each positive against its own row.
+    """
     pos = _scores(pos_scores, "positive").ravel()
-    neg = _scores(neg_scores, "negative").ravel()
+    neg = _scores(neg_scores, "negative")
     if k < 1:
         raise ValueError("k must be >= 1")
-    if len(neg) < k:
-        raise ValueError(f"hits@{k} needs at least {k} negatives, got {len(neg)}")
     if len(pos) == 0:
         raise ValueError("hits@k needs at least one positive")
+    if neg.ndim == 2:
+        if neg.shape[1] < k:
+            raise ValueError(f"hits@{k} needs at least {k} negatives per source, "
+                             f"got {neg.shape[1]}")
+        return float(np.mean(_per_source_ranks(pos, neg) <= k))
+    neg = neg.ravel()
+    if len(neg) < k:
+        raise ValueError(f"hits@{k} needs at least {k} negatives, got {len(neg)}")
     threshold = np.partition(neg, len(neg) - k)[len(neg) - k]
     return float(np.mean(pos > threshold))
 
@@ -57,9 +75,7 @@ def mrr(pos_scores: np.ndarray, neg_scores: np.ndarray) -> float:
         # the negatives >= each positive, from one sort: O(m + k) memory
         ranks = 1 + len(neg) - np.searchsorted(np.sort(neg), pos, side="left")
     elif neg.ndim == 2:
-        if neg.shape[0] != pos.shape[0]:
-            raise ValueError("per-source negatives must match the positive count")
-        ranks = 1 + np.sum(neg >= pos[:, None], axis=1)
+        ranks = _per_source_ranks(pos, neg)
     else:
         raise ValueError(f"neg_scores must be 1-D or 2-D, got ndim={neg.ndim}")
     return float(np.mean(1.0 / ranks))
@@ -67,7 +83,7 @@ def mrr(pos_scores: np.ndarray, neg_scores: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class MetricSpec:
-    """Which ranking metric to compute; negative score shape picks the MRR pool."""
+    """Which ranking metric to compute; negative score shape picks the pool."""
 
     kind: str  # "hits" | "mrr"
     k: int | None = None
@@ -205,15 +221,15 @@ def _feature_graph(rng: np.random.Generator, n: int, p: float = 0.35,
 
 
 def model_gradient_check(conv: str = "gcn", seed: int = 0, n: int = 12,
-                         h: float = 1e-5, input_mode: str = "raw-plus-learnable") -> float:
+                         h: float = 1e-5, input_mode: str = "learnable-orthogonal") -> float:
     """Finite-difference check of ``train.batch_loss``, the loss
     ``train_step`` differentiates, wrt every parameter.
 
-    Builds a small 64-bit model (5 raw features into ``input_mode``,
-    residuals, dropout, output normalization) on a random graph and compares
+    Builds a small 64-bit model (``input_mode`` on a random graph with 5 raw
+    features, residuals, dropout, output normalization) and compares
     analytic gradients against central differences, returning the max
     relative error. ``input_mode="raw"`` with gcn or sage checks the
-    propagated-feature encoder.
+    propagated-feature encoder; with gin, the layer-wise loop.
     """
     from .train import batch_loss
 

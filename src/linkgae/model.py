@@ -15,13 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ModelConfig
+from .config import CHOICES, ModelConfig
 from .engine import Tape, Tensor
 from .graph import (Graph, SparseOperator, mean_adjacency, normalize,
                     plain_adjacency)
 
-INPUT_MODES = ("raw", "learnable-orthogonal", "fixed-orthogonal", "all-ones",
-               "random-uniform", "raw-plus-learnable")
 SCORE_CHUNK = 16384  # pairs decoded at a time by GAEModel.score_pairs
 
 
@@ -48,33 +46,29 @@ def _glorot(rows: int, cols: int, rng: np.random.Generator, dtype) -> np.ndarray
 
 
 class InputRepresentation:
-    """Layer-0 node representation: a table, raw features, or both.
+    """Layer-0 node representation: an embedding table or projected raw features.
 
     The embedding table is a parameter for the learnable modes and a
-    constant for fixed-orthogonal; raw modes project features to the
+    constant for fixed-orthogonal; the raw mode projects features to the
     hidden width with a learnable matrix.
     """
 
     def __init__(self, g: Graph, mode: str, dim: int, rng: np.random.Generator,
                  dtype=np.float64):
-        if mode not in INPUT_MODES:
-            raise ValueError(f"unknown input mode {mode!r}; choose from {INPUT_MODES}")
-        if mode in ("raw", "raw-plus-learnable") and g.features is None:
-            raise ValueError(
-                f"input mode {mode!r} needs node features; this graph has none "
-                "(use the all-ones or learnable-orthogonal mode instead)")
-        self.mode = mode
         n = g.num_nodes
         self.table: Tensor | None = None
         self.raw: Tensor | None = None
         self.w_proj: Tensor | None = None
-        self.w_mix: Tensor | None = None
 
-        if mode in ("raw", "raw-plus-learnable"):
+        if mode == "raw":
+            if g.features is None:
+                raise ValueError(
+                    "input mode 'raw' needs node features; this graph has none "
+                    "(use the all-ones or learnable-orthogonal mode instead)")
             self.raw = Tensor(g.features.astype(dtype), name="features")
             d_f = g.features.shape[1]
             self.w_proj = Tensor(_glorot(d_f, dim, rng, dtype), param=True, name="input.w_proj")
-        if mode in ("learnable-orthogonal", "fixed-orthogonal", "raw-plus-learnable"):
+        elif mode in ("learnable-orthogonal", "fixed-orthogonal"):
             table = orthogonal_rows(n, dim, rng, dtype)
             self.table = Tensor(table, param=(mode != "fixed-orthogonal"), name="input.table")
         elif mode == "all-ones":
@@ -82,20 +76,16 @@ class InputRepresentation:
         elif mode == "random-uniform":
             table = rng.uniform(-1.0, 1.0, (n, dim)).astype(dtype)
             self.table = Tensor(table, param=True, name="input.table")
-        if mode == "raw-plus-learnable":
-            self.w_mix = Tensor(_glorot(2 * dim, dim, rng, dtype), param=True, name="input.w_mix")
+        else:
+            raise ValueError(f"unknown input mode {mode!r}; choose from {CHOICES['input_mode']}")
 
     def params(self) -> list[Tensor]:
-        cand = [self.table, self.w_proj, self.w_mix]
-        return [t for t in cand if t is not None and t.param]
+        return [t for t in (self.table, self.w_proj) if t is not None and t.param]
 
     def forward(self, tape: Tape) -> Tensor:
-        if self.mode == "raw":
-            return tape.matmul(self.raw, self.w_proj)
-        if self.mode == "raw-plus-learnable":
-            proj = tape.matmul(self.raw, self.w_proj)
-            return tape.matmul(tape.concat_cols(proj, self.table), self.w_mix)
-        return self.table
+        if self.raw is None:
+            return self.table
+        return tape.matmul(self.raw, self.w_proj)
 
 
 CONV_OPERATORS = {"gcn": normalize, "sage": mean_adjacency, "gin": plain_adjacency}
@@ -121,8 +111,6 @@ class Encoder:
     """Stack of message-passing layers sharing one width."""
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator, dtype=np.float64):
-        if cfg.conv not in CONV_OPERATORS:
-            raise ValueError(f"unknown convolution {cfg.conv!r}")
         self.cfg = cfg
         d = cfg.hidden_dim
         self._propagated: tuple | None = None  # (op, x, features) of forward_propagated
@@ -239,8 +227,6 @@ class Decoder:
     """Dot-product or residual-MLP pair scorer; returns raw logits."""
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator, dtype=np.float64):
-        if cfg.decoder not in ("dot", "mlp"):
-            raise ValueError(f"unknown decoder {cfg.decoder!r}")
         self.cfg = cfg
         self.weights: list[Tensor] = []
         self.biases: list[Tensor] = []

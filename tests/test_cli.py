@@ -44,17 +44,21 @@ def test_loop_settings_below_one_exit_2(key, capsys):
     assert f"{key} must be >= 1" in capsys.readouterr().err
 
 
-def test_hits_at_zero_exits_2_before_training(capsys, monkeypatch, tmp_path):
+@pytest.mark.parametrize("override, named", [
+    ("metric=hits@0", "hits@0"), ("input_mode=onehot", "input_mode"),
+    ("conv=gat", "conv"), ("decoder=bilinear", "decoder"), ("dtype=float16", "dtype"),
+], ids=["metric", "input_mode", "conv", "decoder", "dtype"])
+def test_hits_at_zero_exits_2_before_training(override, named, capsys, monkeypatch,
+                                              tmp_path):
     from linkgae import train
 
     def no_epoch(*a, **k):
         raise AssertionError("train_epoch ran")
 
     monkeypatch.setattr(train, "train_epoch", no_epoch)
-    rc = run(["train", "--dataset", TINY, "--set", "metric=hits@0",
-              "--out-dir", str(tmp_path)])
+    rc = run(["train", "--dataset", TINY, "--set", override, "--out-dir", str(tmp_path)])
     assert rc == 2
-    assert "hits@0" in capsys.readouterr().err
+    assert named in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 
 
@@ -191,6 +195,9 @@ def test_verify_passes_on_clean_build(capsys):
     out = capsys.readouterr().out
     assert "[FAIL]" not in out
     assert "all checks passed" in out
+    for conv in ("gcn", "sage", "gin"):
+        for mode in ("learnable-orthogonal", "raw"):
+            assert f"[PASS] gradient full model ({conv}, {mode})" in out
 
 
 def test_verify_fails_on_injected_bad_gradient(capsys, monkeypatch):

@@ -12,6 +12,9 @@ from tests.conftest import random_graph
 
 def test_hits_basic_example():
     assert hits_at_k([0.9, 0.4], [0.8, 0.3, 0.1], 1) == 0.5
+    # per source: positive 1 beats both of its own candidates, though not the
+    # best negative of the pooled four
+    assert hits_at_k([0.5, 0.5], [[0.9, 0.1], [0.2, 0.1]], 1) == 0.5
 
 
 def test_hits_extremes():
@@ -26,6 +29,28 @@ def test_hits_tie_counts_as_miss():
 def test_hits_requires_enough_negatives():
     with pytest.raises(ValueError):
         hits_at_k([0.5], [0.4, 0.3], 5)
+    with pytest.raises(ValueError, match="at least 3 negatives per source"):
+        hits_at_k([0.5, 0.2], [[0.4, 0.3], [0.1, 0.0]], 3)
+
+
+def test_per_source_hits_is_the_mean_of_one_row_pools(rng):
+    for _ in range(200):
+        m, k = rng.integers(1, 20, 2)
+        pos = rng.integers(-3, 4, m).astype(float)  # small ints: many ties
+        neg = rng.integers(-3, 4, (m, k)).astype(float)
+        pos[rng.random(m) < 0.1] = np.inf
+        neg[rng.random((m, k)) < 0.1] = -np.inf
+        neg[rng.random((m, k)) < 0.1] = np.inf
+        K = int(rng.integers(1, k + 1))
+        want = np.mean([hits_at_k(pos[i:i + 1], neg[i], K) for i in range(m)])
+        assert hits_at_k(pos, neg, K) == want
+
+
+@pytest.mark.parametrize("metric", [mrr, lambda p, n: hits_at_k(p, n, 1)],
+                         ids=["mrr", "hits@1"])
+def test_per_source_rows_must_match_the_positives(metric):
+    with pytest.raises(ValueError, match="match the positive count"):
+        metric([0.5], [[0.4, 0.3], [0.1, 0.0]])
 
 
 def test_hits_invariant_under_monotone_transform(rng):

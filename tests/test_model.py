@@ -73,15 +73,6 @@ def test_raw_mode_projects_to_hidden_width():
     assert [p.name for p in rep.params()] == ["input.w_proj"]
 
 
-def test_raw_plus_learnable_concatenates_then_projects():
-    g = p3(features=np.eye(3))
-    rep = InputRepresentation(g, "raw-plus-learnable", 8, np.random.default_rng(0))
-    z0 = rep.forward(Tape())
-    assert z0.shape == (3, 8)
-    names = {p.name for p in rep.params()}
-    assert names == {"input.w_proj", "input.table", "input.w_mix"}
-
-
 def test_unknown_mode_rejected():
     with pytest.raises(ValueError):
         InputRepresentation(p3(), "onehot", 8, np.random.default_rng(0))
@@ -332,8 +323,7 @@ def test_a_new_operator_or_new_features_rebuild_the_propagated_entry(rng, monkey
 
 @pytest.mark.parametrize("change", [
     {"input_mode": "learnable-orthogonal"}, {"input_mode": "fixed-orthogonal"},
-    {"input_mode": "all-ones"}, {"input_mode": "random-uniform"},
-    {"input_mode": "raw-plus-learnable"}, {"conv": "gin"},
+    {"input_mode": "all-ones"}, {"input_mode": "random-uniform"}, {"conv": "gin"},
     {"linear_encoder": False}, {"hidden_dim": 5},  # 6 features > hidden width 5
 ])
 def test_other_encoders_keep_the_layer_wise_loop(change, rng, monkeypatch):
