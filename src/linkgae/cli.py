@@ -24,18 +24,14 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
-from .config import (CHOICES, ModelConfig, PRESETS, apply_overrides,
-                     config_hash, preset)
-from .engine import gradient_check_all
-from .evaluation import (MetricSpec, cn_equivalence_sweep, heuristic_product_sweep,
-                         model_gradient_check, orthogonality_stats,
-                         unrolled_encoder_deviation)
+from . import __version__, checks
+from .config import ModelConfig, PRESETS, apply_overrides, config_hash, preset
+from .evaluation import MetricSpec
 from .graph import EdgeSplit, Graph, load_graph, random_split
 from .heuristics import HEURISTICS, heuristic_eval, structure_feature_report
-from .model import GAEModel, orthogonal_rows
-from .synth import parse_synth_spec
-from .train import fit
+from .model import GAEModel
+from .synth import is_synth_spec, parse_synth_spec
+from .train import RunRecord, fit
 
 # Compact settings used when experimenting on synthetic graphs.
 SYNTH_DEFAULT = ModelConfig(
@@ -47,7 +43,7 @@ SYNTH_DEFAULT = ModelConfig(
 def resolve_graph(dataset: str, data_dir: str) -> Graph:
     """synth[:...], an edge-file path, or a dataset name under data_dir; an
     edge file is read with its sibling features.csv when there is one."""
-    if dataset.startswith("synth"):
+    if is_synth_spec(dataset):
         return parse_synth_spec(dataset)
     edge = Path(dataset)
     if not edge.is_file():
@@ -65,24 +61,30 @@ def resolve_config(args) -> ModelConfig:
         cfg = preset(args.preset)
     elif args.dataset in PRESETS:
         cfg = preset(args.dataset)
-    elif args.dataset.startswith("synth"):
+    elif is_synth_spec(args.dataset):
         cfg = SYNTH_DEFAULT
     else:
         cfg = ModelConfig()
-    cfg = apply_overrides(cfg, getattr(args, "set", "") or "")
-    MetricSpec.parse(cfg.metric)  # fail before any output is written
-    return cfg
+    return apply_overrides(cfg, getattr(args, "set", "") or "")
+
+
+def _load_split(path: str, g: Graph, cfg: ModelConfig) -> EdgeSplit:
+    """A split file checked against the graph and against ``cfg.metric``:
+    hits@K needs at least K per-source negatives."""
+    split = EdgeSplit.load(path, g.num_nodes)
+    metric = MetricSpec.parse(cfg.metric)
+    for name, neg in (("valid", split.valid_neg), ("test", split.test_neg)):
+        if metric.kind == "hits" and neg.ndim == 3 and neg.shape[1] < metric.k:
+            raise ValueError(f"{metric} needs at least {metric.k} negatives per source, "
+                             f"got {neg.shape[1]} in neg.{name} of {path}")
+    return split
 
 
 def _run_seed(g: Graph, cfg: ModelConfig, seed: int,
-              split_file: str | None = None, log=None):
-    if split_file:
-        split = EdgeSplit.load(split_file, g.num_nodes)
-    else:
+              split: EdgeSplit | None = None, log=None) -> RunRecord:
+    if split is None:
         split = random_split(g, seed=seed)
-    model = GAEModel(g, cfg, seed=seed)
-    record = fit(model, split, cfg, seed=seed, log=log)
-    return record, model
+    return fit(GAEModel(g, cfg, seed=seed), split, cfg, seed=seed, log=log)
 
 
 def _out_dir(base: str, dataset: str, cfg: ModelConfig) -> Path:
@@ -96,6 +98,7 @@ def cmd_train(args) -> int:
     g = resolve_graph(args.dataset, args.data_dir)
     cfg = resolve_config(args)
     seeds = list(range(args.seed, args.seed + args.seeds))
+    split = _load_split(args.split_file, g, cfg) if args.split_file else None
     out = _out_dir(args.out_dir, args.dataset, cfg)
     (out / "config.json").write_text(json.dumps({
         "dataset": args.dataset, "config": cfg.to_dict(),
@@ -108,7 +111,7 @@ def cmd_train(args) -> int:
         if args.verbose:
             log = lambda e, l, v: print(
                 f"  epoch {e:4d} loss {l:.4f}" + (f" valid {v:.4f}" if v is not None else ""))
-        record, _ = _run_seed(g, cfg, seed, args.split_file, log=log)
+        record = _run_seed(g, cfg, seed, split, log=log)
         record.write_csv(out / f"epochs-seed{seed}.csv")
         per_seed[str(seed)] = record.summary()
         print(f"seed {seed}: test {cfg.metric} = {record.test_metric:.4f} "
@@ -171,7 +174,7 @@ def cmd_grid(args) -> int:
     seeds = list(range(args.seed, args.seed + args.seeds))
     lines = [",".join([label] + [f"seed{s}" for s in seeds] + ["mean", "std"])]
     for name, delta in variants:
-        vals = [_run_seed(g, cfg.replace(**delta), seed)[0].test_metric for seed in seeds]
+        vals = [_run_seed(g, cfg.replace(**delta), seed).test_metric for seed in seeds]
         mean, std = float(np.mean(vals)), float(np.std(vals))
         lines.append(",".join([name] + [repr(v) for v in vals] + [repr(mean), repr(std)]))
         print(f"{prefix}{name}: {mean:.4f} +- {std:.4f}")
@@ -207,45 +210,6 @@ def cmd_heuristic(args) -> int:
             "seed": args.seed, "heuristic": args.which}
     print(json.dumps(blob))
     return 0
-
-
-def cmd_verify(args) -> int:
-    failures = 0
-
-    def check(name: str, ok: bool, detail: str) -> None:
-        nonlocal failures
-        print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
-        failures += 0 if ok else 1
-
-    for name, err in sorted(gradient_check_all().items()):
-        check(f"gradient {name}", err < 1e-4, f"rel err {err:.2e}")
-    for conv in CHOICES["conv"]:
-        for mode in ("learnable-orthogonal", "raw"):
-            err = model_gradient_check(conv, input_mode=mode)
-            check(f"gradient full model ({conv}, {mode})", err < 1e-4, f"rel err {err:.2e}")
-    dev = unrolled_encoder_deviation()
-    check("unrolled encoder identity", dev <= 1e-12,
-          f"max |dz| {dev:.2e} against the layer-wise loop (<= 1e-12), "
-          "gcn/sage, 1-4 layers, residual on/off, plain/masked")
-    dev = cn_equivalence_sweep(num_graphs=args.graphs)
-    check("common-neighbor equivalence", dev < 1e-9,
-          f"max deviation {dev:.2e} over {args.graphs} graphs, k in 1..3")
-    dev = heuristic_product_sweep(num_graphs=args.graphs)
-    check("heuristics vs sparse product",
-          dev["cn"] == 0.0 and dev["aa"] <= 1e-12 and dev["ra"] <= 1e-12,
-          f"max deviation CN {dev['cn']:.0e} (exact), AA {dev['aa']:.2e}, "
-          f"RA {dev['ra']:.2e} (<= 1e-12) over {args.graphs} graphs")
-    rng = np.random.default_rng(0)
-    narrow = orthogonal_rows(24, 64, rng)
-    m, _ = orthogonality_stats(narrow)
-    check("orthogonal init (n <= d)", m < 1e-6, f"mean |cos| {m:.2e}")
-    wide = orthogonal_rows(300, 32, rng)
-    m, _ = orthogonality_stats(wide)
-    unit = np.allclose(np.linalg.norm(wide, axis=1), 1.0, atol=1e-6)
-    check("orthogonal init (n > d)", unit and m <= 2.0 / np.sqrt(32),
-          f"mean |cos| {m:.3f}, bound {2.0 / np.sqrt(32):.3f}")
-    print("all checks passed" if failures == 0 else f"{failures} check(s) failed")
-    return 0 if failures == 0 else 1
 
 
 def cmd_split(args) -> int:
@@ -309,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="gradient, equivalence, and init checks")
     p.add_argument("--graphs", type=int, default=50)
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=lambda args: checks.verify(args.graphs))
 
     p = sub.add_parser("split", help="write a split cache JSON")
     common(p, config=False, out_dir=False)

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import dropout_threshold
+from .evaluation import MetricSpec
 
 # The values each choice field of ModelConfig accepts.
 CHOICES: dict[str, tuple[str, ...]] = {
@@ -66,6 +67,7 @@ class ModelConfig:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         dropout_threshold(self.dropout)
+        MetricSpec.parse(self.metric)
 
     def replace(self, **kw) -> "ModelConfig":
         return dataclasses.replace(self, **kw)

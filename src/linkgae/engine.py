@@ -2,8 +2,8 @@
 
 Just enough machinery for a fixed encoder/decoder computation graph:
 every value is a 2-D Tensor, ops are recorded on a Tape, and backward
-replays the recorded closures in reverse order. An Adam optimizer and
-a finite-difference gradient checker round out the module.
+replays the recorded closures in reverse order. An Adam optimizer rounds
+out the module; the finite-difference gradient checks live in ``checks``.
 
 All ops keep a deterministic accumulation order, so two identical runs
 produce bit-identical results.
@@ -374,136 +374,3 @@ class Adam:
             step /= tmp
             p.value -= step
             p.grad = None
-
-
-# ---------------------------------------------------------------------------
-# Finite-difference gradient checking
-# ---------------------------------------------------------------------------
-
-def _p(arr) -> Tensor:
-    return Tensor(np.asarray(arr, dtype=np.float64), param=True)
-
-
-def _op_cases(rng: np.random.Generator) -> dict[str, tuple[list[Tensor], Callable]]:
-    """One representative call per registered op, inputs kept away from kinks."""
-    from .graph import Graph, mean_adjacency, normalize  # engine stays base layer
-
-    a = _p(rng.standard_normal((4, 3)))
-    b = _p(rng.standard_normal((3, 5)))
-    c = _p(rng.standard_normal((4, 3)))
-    row = _p(rng.standard_normal((1, 3)))
-    scalar = _p(rng.standard_normal((1, 1)))
-    relu_in = _p(rng.standard_normal((4, 3)) + np.sign(rng.standard_normal((4, 3))) * 0.5)
-    norm_in = _p(rng.standard_normal((4, 3)) + 2.0)
-    logits = _p(rng.standard_normal((6, 1)) * 2.0)
-    labels = Tensor(rng.integers(0, 2, (6, 1)).astype(np.float64))
-    idx = np.array([0, 2, 2, 3, 1])
-
-    g = Graph.from_edges(5, np.array([[0, 1], [1, 2], [2, 3], [3, 4], [0, 4], [1, 4]]))
-    adj = normalize(g)
-    mean_adj = mean_adjacency(g)  # asymmetric: exercises the transpose path
-    spmm_in = _p(rng.standard_normal((5, 3)))
-    spmm_in2 = _p(rng.standard_normal((5, 3)))
-
-    def dropout_case(tape, x):
-        return tape.dropout(x, 0.4, np.random.default_rng(123))
-
-    return {
-        "matmul": ([a, b], lambda t, x, y: t.matmul(x, y)),
-        "matmul_column": ([a, _p(rng.standard_normal((3, 1)))], lambda t, x, y: t.matmul(x, y)),
-        "spmm": ([spmm_in], lambda t, x: t.spmm(adj, x)),
-        "spmm_asymmetric": ([spmm_in2], lambda t, x: t.spmm(mean_adj, x)),
-        "add": ([a, c], lambda t, x, y: t.add(x, y)),
-        "add_row_broadcast": ([a, row], lambda t, x, y: t.add(x, y)),
-        "hadamard": ([a, c], lambda t, x, y: t.hadamard(x, y)),
-        "scalar_mul": ([a, scalar], lambda t, x, s: t.scalar_mul(x, s)),
-        "row_dot": ([a, c], lambda t, x, y: t.row_dot(x, y)),
-        "gather_rows": ([a], lambda t, x: t.gather_rows(x, idx)),
-        "relu": ([relu_in], lambda t, x: t.relu(x)),
-        "dropout": ([a], dropout_case),
-        "concat_rows": ([a, c], lambda t, x, y: t.concat_rows(x, y)),
-        "sum": ([a], lambda t, x: t.sum(x)),
-        "l2_normalize": ([norm_in], lambda t, x: t.l2_normalize(x)),
-        "bce_with_logits": ([logits], lambda t, x: t.bce_with_logits(x, labels)),
-    }
-
-
-# finite_difference_check skips a coordinate whose central differences at h
-# and h/4 differ by more than KINK_TOL (relative); on the full-model checks of
-# `linkgae verify`, smooth coordinates differ by at most 7e-8. Skipping more
-# than MAX_KINK_SHARE of the coordinates fails the check.
-KINK_TOL = 1e-5
-MAX_KINK_SHARE = 0.05
-
-
-def finite_difference_check(inputs: Sequence[Tensor],
-                            forward: Callable[..., Tensor],
-                            h: float = 1e-5) -> float:
-    """Max relative error of analytic grads vs central differences.
-
-    ``forward(tape, *inputs)`` may return any shape; it is reduced with a
-    weighted sum so every output entry influences the scalar.
-
-    A coordinate whose ±h step crosses a kink (a ReLU input changing sign)
-    has no finite-difference derivative at step h. So a coordinate that
-    fails the comparison is differenced again at h/4: on a smooth coordinate
-    the two agree to truncation and rounding error, and when they disagree
-    the coordinate is skipped. The skip is decided by the forward pass
-    alone, so a wrong backward cannot cause one. Returns inf when more than
-    ``MAX_KINK_SHARE`` of the coordinates are skipped.
-    """
-    rng = np.random.default_rng(99)
-
-    def scalar_out(tape: Tape) -> tuple[Tensor, np.ndarray]:
-        out = forward(tape, *inputs)
-        w = rng.standard_normal(out.shape)
-        return out, w
-
-    tape = Tape()
-    out, w = scalar_out(tape)
-    weights = Tensor(w)
-    loss = tape.sum(tape.hadamard(out, weights))
-    for t in inputs:
-        t.grad = None
-    tape.backward(loss)
-    analytic = [t.grad.copy() if t.grad is not None else np.zeros_like(t.value)
-                for t in inputs]
-
-    def f() -> float:
-        t = Tape(record=False)
-        out2 = forward(t, *inputs)
-        return float(np.sum(out2.value * w))
-
-    def central(flat: np.ndarray, i: int, step: float) -> float:
-        orig = flat[i]
-        flat[i] = orig + step
-        fp = f()
-        flat[i] = orig - step
-        fm = f()
-        flat[i] = orig
-        return (fp - fm) / (2.0 * step)
-
-    def rel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-4)
-
-    worst, skipped, total = 0.0, 0, 0
-    for t, an in zip(inputs, analytic):
-        flat = t.value.reshape(-1)
-        fd = np.array([central(flat, i, h) for i in range(flat.size)])
-        err = rel(an.reshape(-1), fd)
-        for i in np.flatnonzero(err > KINK_TOL):  # an agreeing coordinate passes anyway
-            if rel(fd[i], central(flat, i, h / 4)) > KINK_TOL:
-                err[i] = 0.0
-                skipped += 1
-        total += flat.size
-        worst = max(worst, float(np.max(err, initial=0.0)))
-    return worst if skipped <= MAX_KINK_SHARE * total else float("inf")
-
-
-def gradient_check_all(h: float = 1e-5) -> dict[str, float]:
-    """Run the finite-difference oracle over every registered op."""
-    rng = np.random.default_rng(7)
-    report = {}
-    for name, (inputs, fwd) in _op_cases(rng).items():
-        report[name] = finite_difference_check(inputs, fwd, h=h)
-    return report

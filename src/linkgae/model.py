@@ -144,13 +144,6 @@ class Encoder:
     def params(self) -> list[Tensor]:
         return [t for layer in self.layers for t in layer.values()]
 
-    def set_identity_weights(self) -> None:
-        """Make every GCN layer a pure propagation step (used by checks)."""
-        if self.cfg.conv != "gcn":
-            raise ValueError("identity weights only make sense for the gcn conv")
-        for layer in self.layers:
-            layer["w"].value = np.eye(self.cfg.hidden_dim, dtype=layer["w"].value.dtype)
-
     def _conv(self, tape: Tape, ops: MessageOperators, z: Tensor, l: int) -> Tensor:
         layer = self.layers[l]
         if self.cfg.conv == "gcn":

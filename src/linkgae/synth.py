@@ -36,21 +36,30 @@ def structure_dominant_graph(n: int = 2000, community_size: int = 20,
     return Graph.from_edges(n, np.concatenate(edges, axis=0), features)
 
 
+def is_synth_spec(dataset: str) -> bool:
+    """Whether a dataset name is a synth spec: "synth" or "synth:..."."""
+    return dataset == "synth" or dataset.startswith("synth:")
+
+
 def parse_synth_spec(spec: str) -> Graph:
     """Build a graph from "synth" or "synth:n=2000,cs=20,p_in=0.5,...".
 
     Keys: n, cs (community size), p_in, xdeg (cross degree), fdim, seed.
+    A malformed item raises ValueError naming it.
     """
     kw = {}
-    if ":" in spec:
-        _, args = spec.split(":", 1)
+    if spec != "synth":
         names = {"n": ("n", int), "cs": ("community_size", int),
                  "p_in": ("p_in", float), "xdeg": ("cross_degree", float),
                  "fdim": ("feature_dim", int), "seed": ("seed", int)}
-        for item in args.split(","):
-            key, raw = item.split("=", 1)
+        for item in spec[len("synth:"):].split(","):
+            key, _, raw = item.partition("=")
             if key not in names:
-                raise ValueError(f"unknown synth key {key!r}; choose from {sorted(names)}")
+                raise ValueError(f"unknown synth key {key!r} in {item!r}; "
+                                 f"choose from {sorted(names)}")
             name, cast = names[key]
-            kw[name] = cast(raw)
+            try:
+                kw[name] = cast(raw)
+            except ValueError:
+                raise ValueError(f"synth item {item!r} is not {key}=<{cast.__name__}>") from None
     return structure_dominant_graph(**kw)

@@ -23,8 +23,19 @@ def test_unknown_preset_exits_2(capsys):
 
 
 def test_unreadable_dataset_exits_2(tmp_path, capsys):
-    assert run(["train", "--dataset", "missing", "--data-dir", str(tmp_path)]) == 2
-    assert "no edge file" in capsys.readouterr().err
+    # "synthetic" is a data directory name, not a synth spec
+    for name in ("missing", "synthetic"):
+        assert run(["train", "--dataset", name, "--data-dir", str(tmp_path),
+                    "--set", "epochs=1", "--out-dir", str(tmp_path)]) == 2
+        assert f"dataset {name!r}: no edge file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec, named", [("synth:n", "synth item 'n'"),
+                                         ("synth:q=1", "'q=1'")],
+                         ids=["no-value", "unknown-key"])
+def test_malformed_synth_spec_exits_2_naming_the_item(spec, named, tmp_path, capsys):
+    assert run(["train", "--dataset", spec, "--out-dir", str(tmp_path)]) == 2
+    assert named in capsys.readouterr().err
 
 
 def test_bad_override_exits_2(capsys):
@@ -235,6 +246,27 @@ def test_verify_fails_on_wrong_heuristic_weight(capsys, monkeypatch):
     monkeypatch.setattr(heuristics, "score_edges", skewed)
     assert run(["verify", "--graphs", "2"]) == 1
     assert "[FAIL] heuristics vs sparse product" in capsys.readouterr().out
+
+
+def test_too_few_per_source_negatives_exit_2_before_training(capsys, monkeypatch, tmp_path):
+    from linkgae import train
+
+    def no_epoch(*a, **k):
+        raise AssertionError("train_epoch ran")
+
+    path = tmp_path / "split.json"
+    assert run(["split", "--dataset", TINY, "--out", str(path)]) == 0
+    blob = json.loads(path.read_text())
+    blob["neg"]["test"] = [[[u, (u + j) % 100] for j in range(1, 6)] for u, _ in blob["test"]]
+    path.write_text(json.dumps(blob))  # (m, 5, 2) test negatives
+    monkeypatch.setattr(train, "train_epoch", no_epoch)
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    rc = run(["train", "--dataset", TINY, "--split-file", str(path),
+              "--set", "metric=hits@10", "--out-dir", str(runs)])
+    assert rc == 2
+    assert "hits@10 needs at least 10 negatives per source, got 5" in capsys.readouterr().err
+    assert not any(runs.iterdir())
 
 
 def test_split_roundtrip(tmp_path):

@@ -3,10 +3,10 @@ import weakref
 import numpy as np
 import pytest
 
-from linkgae import engine
+from linkgae import checks, engine
+from linkgae.checks import finite_difference_check, gradient_check_all, _op_cases
 from linkgae.config import ModelConfig
-from linkgae.engine import (Adam, Tape, Tensor, finite_difference_check,
-                            gradient_check_all, _accumulate, _op_cases)
+from linkgae.engine import Adam, Tape, Tensor, _accumulate
 
 
 def test_tensor_rejects_non_2d():
@@ -144,7 +144,7 @@ def test_finite_difference_skips_a_coordinate_whose_step_crosses_a_relu_kink(mon
     x = Tensor(np.array([[0.3, 0.7, -0.4]] * 20), param=True)
     x.value[0, 0] = 2e-6
     assert finite_difference_check([x], lambda t, a: t.relu(a)) < 1e-8
-    monkeypatch.setattr(engine, "KINK_TOL", np.inf)  # detection off: the kink fails
+    monkeypatch.setattr(checks, "KINK_TOL", np.inf)  # detection off: the kink fails
     assert finite_difference_check([x], lambda t, a: t.relu(a)) > 0.1
     monkeypatch.undo()
     # a wrong backward still fails on the coordinates that are not skipped

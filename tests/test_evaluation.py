@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from linkgae.evaluation import (MetricSpec, hits_at_k, mrr,
-                                orthogonality_stats, verify_cn_equivalence)
+from linkgae.checks import verify_cn_equivalence
+from linkgae.evaluation import MetricSpec, hits_at_k, mrr, orthogonality_stats
 from linkgae.graph import Graph
 from linkgae.model import orthogonal_rows
 from tests.conftest import random_graph
@@ -124,7 +124,7 @@ def test_metric_spec_parse():
     assert MetricSpec.parse("MRR").kind == "mrr"
     with pytest.raises(ValueError):
         MetricSpec.parse("auc")
-    for name in ("hits@0", "hits@-3"):
+    for name in ("hits@0", "hits@-3", "hits@abc"):
         with pytest.raises(ValueError, match="K >= 1"):
             MetricSpec.parse(name)
 
@@ -244,7 +244,7 @@ def test_model_gradient_check_catches_a_wrong_gather_backward(monkeypatch):
     # negative control for the full-model check alone: a 5% error in the
     # gather_rows backward must push its relative error past the 1e-4 bar
     from linkgae import engine
-    from linkgae.evaluation import model_gradient_check
+    from linkgae.checks import model_gradient_check
 
     assert model_gradient_check("gcn") < 1e-4
 
@@ -271,7 +271,7 @@ def test_model_gradient_check_passes_a_consistent_model_with_relu_kinks(monkeypa
     import textwrap
 
     from linkgae import model
-    from linkgae.evaluation import model_gradient_check
+    from linkgae.checks import model_gradient_check
 
     source = textwrap.dedent(inspect.getsource(model.Encoder.forward_propagated))
     right = "if k == 0 and self.cfg.encoder_residual:"

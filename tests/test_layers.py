@@ -1,0 +1,34 @@
+"""Import layering: every import sits at module level, and the tape and the
+metrics load no other linkgae module."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import linkgae
+
+PACKAGE = Path(linkgae.__file__).parent
+
+
+def test_no_import_below_module_level():
+    nested = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        top = {id(node) for node in tree.body}
+        nested += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top]
+    assert nested == []
+
+
+@pytest.mark.parametrize("module", ["linkgae.engine", "linkgae.evaluation"])
+def test_leaf_module_loads_no_other_linkgae_module(module):
+    code = (f"import sys, {module}\n"
+            "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'linkgae')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+                          check=True, timeout=60)
+    assert proc.stdout.split() == ["linkgae", module]

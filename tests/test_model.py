@@ -84,7 +84,8 @@ def _identity_encoder(g, k, d, residual=False, linear=True):
     rng = np.random.default_rng(0)
     enc = Encoder(ModelConfig(conv="gcn", mpnn_layers=k, hidden_dim=d,
                               linear_encoder=linear, encoder_residual=residual), rng)
-    enc.set_identity_weights()
+    for layer in enc.layers:
+        layer["w"].value = np.eye(d)
     return enc
 
 
