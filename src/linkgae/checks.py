@@ -46,6 +46,10 @@ def _op_cases(rng: np.random.Generator) -> dict[str, tuple[list[Tensor], Callabl
     mean_adj = mean_adjacency(g)  # asymmetric: exercises the transpose path
     spmm_in = _p(rng.standard_normal((5, 3)))
     spmm_in2 = _p(rng.standard_normal((5, 3)))
+    # dense_block's pre-activation h @ w + b is relu_in up to rounding
+    block_w = _p(rng.standard_normal((3, 3)) + 2.0 * np.eye(3))
+    block_h = _p((relu_in.value - row.value) @ np.linalg.inv(block_w.value))
+    block = [block_h, block_w, row]
     return {
         "matmul": ([a, b], lambda t, x, y: t.matmul(x, y)),
         "matmul_column": ([a, _p(rng.standard_normal((3, 1)))], lambda t, x, y: t.matmul(x, y)),
@@ -59,6 +63,11 @@ def _op_cases(rng: np.random.Generator) -> dict[str, tuple[list[Tensor], Callabl
         "gather_rows": ([a], lambda t, x: t.gather_rows(x, idx)),
         "relu": ([relu_in], lambda t, x: t.relu(x)),
         "dropout": ([a], lambda t, x: t.dropout(x, 0.4, np.random.default_rng(123))),
+        "dense_block": (block, lambda t, x, w, b: t.dense_block(x, w, b, None, 0.0, None)),
+        "dense_block_residual": (block + [c], lambda t, x, w, b, r: t.dense_block(
+            x, w, b, r, 0.0, None)),
+        "dense_block_dropout": (block, lambda t, x, w, b: t.dense_block(
+            x, w, b, x, 0.4, np.random.default_rng(123))),  # h is h0, as in layer 0
         "concat_rows": ([a, c], lambda t, x, y: t.concat_rows(x, y)),
         "sum": ([a], lambda t, x: t.sum(x)),
         "l2_normalize": ([norm_in], lambda t, x: t.l2_normalize(x)),

@@ -31,7 +31,7 @@ from .graph import EdgeSplit, Graph, load_graph, random_split
 from .heuristics import HEURISTICS, heuristic_eval, structure_feature_report
 from .model import GAEModel
 from .synth import is_synth_spec, parse_synth_spec
-from .train import RunRecord, fit
+from .train import RunRecord, check_negatives, fit
 
 # Compact settings used when experimenting on synthetic graphs.
 SYNTH_DEFAULT = ModelConfig(
@@ -68,16 +68,20 @@ def resolve_config(args) -> ModelConfig:
     return apply_overrides(cfg, getattr(args, "set", "") or "")
 
 
-def _load_split(path: str, g: Graph, cfg: ModelConfig) -> EdgeSplit:
-    """A split file checked against the graph and against ``cfg.metric``:
-    hits@K needs at least K per-source negatives."""
-    split = EdgeSplit.load(path, g.num_nodes)
+def _train_splits(g: Graph, cfg: ModelConfig, seeds: list[int],
+                  path: str | None) -> list[EdgeSplit]:
+    """One split per seed, each checked against ``cfg.metric`` before any
+    training: the split file at ``path`` (checked against the graph too) for
+    every seed, or each seed's random split."""
     metric = MetricSpec.parse(cfg.metric)
-    for name, neg in (("valid", split.valid_neg), ("test", split.test_neg)):
-        if metric.kind == "hits" and neg.ndim == 3 and neg.shape[1] < metric.k:
-            raise ValueError(f"{metric} needs at least {metric.k} negatives per source, "
-                             f"got {neg.shape[1]} in neg.{name} of {path}")
-    return split
+    if path:
+        split = EdgeSplit.load(path, g.num_nodes)
+        check_negatives(split, metric, path)
+        return [split] * len(seeds)
+    splits = [random_split(g, seed=seed) for seed in seeds]
+    for seed, split in zip(seeds, splits):
+        check_negatives(split, metric, f"the seed-{seed} random split")
+    return splits
 
 
 def _run_seed(g: Graph, cfg: ModelConfig, seed: int,
@@ -98,7 +102,7 @@ def cmd_train(args) -> int:
     g = resolve_graph(args.dataset, args.data_dir)
     cfg = resolve_config(args)
     seeds = list(range(args.seed, args.seed + args.seeds))
-    split = _load_split(args.split_file, g, cfg) if args.split_file else None
+    splits = _train_splits(g, cfg, seeds, args.split_file)
     out = _out_dir(args.out_dir, args.dataset, cfg)
     (out / "config.json").write_text(json.dumps({
         "dataset": args.dataset, "config": cfg.to_dict(),
@@ -106,7 +110,7 @@ def cmd_train(args) -> int:
         "version": __version__}, indent=2))
     t0 = time.perf_counter()
     per_seed = {}
-    for seed in seeds:
+    for seed, split in zip(seeds, splits):
         log = None
         if args.verbose:
             log = lambda e, l, v: print(

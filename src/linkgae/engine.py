@@ -5,6 +5,11 @@ every value is a 2-D Tensor, ops are recorded on a Tape, and backward
 replays the recorded closures in reverse order. An Adam optimizer rounds
 out the module; the finite-difference gradient checks live in ``checks``.
 
+``Tape.dense_block`` is one MLP layer, ``dropout(relu(h @ w + b)) (+ h0)``,
+as one node: it computes in place on one buffer and saves only ``h``, the
+1-byte ``pre > 0`` mask and the 1-byte dropout mask for backward, where the
+composed ops would keep five (rows x width) arrays alive.
+
 All ops keep a deterministic accumulation order, so two identical runs
 produce bit-identical results.
 """
@@ -83,6 +88,25 @@ def dropout_threshold(p: float) -> int:
     return t
 
 
+def _dropout_mask(shape: tuple[int, int], dtype, t: int,
+                  rng: np.random.Generator) -> tuple[np.ndarray, np.floating]:
+    """The keep mask and scale of ``Tape.dropout`` at lane threshold ``t > 0``.
+
+    Backward keeps only the 1-byte mask; multiplying by it before the scale
+    is exact, so the order does not change a bit.
+    """
+    n = shape[0] * shape[1]
+    lanes = rng.bit_generator.random_raw((n + 3) // 4).view(np.uint16)[:n]
+    return lanes.reshape(shape) >= t, dtype.type(LANES / (LANES - t))
+
+
+def _left_grad(up: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """d(a @ b)/da applied to ``up``. For a width-1 output this is an outer
+    product, not a k=1 GEMM; + 0.0 turns -0.0 into the +0.0 of the GEMM's
+    zero-started sum."""
+    return up * b.T + 0.0 if up.shape[1] == 1 else up @ b.T
+
+
 class Tape:
     """Ordered record of forward ops; recording order is topological order.
 
@@ -129,9 +153,7 @@ class Tape:
 
         def bwd(up):
             if a.tracked:
-                # For a width-1 output this is an outer product, not a k=1 GEMM;
-                # + 0.0 turns -0.0 into the +0.0 of the GEMM's zero-started sum.
-                _accumulate(a, up * b.value.T + 0.0 if up.shape[1] == 1 else up @ b.value.T)
+                _accumulate(a, _left_grad(up, b.value))
             if b.tracked:
                 _accumulate(b, a.value.T @ up)
 
@@ -249,12 +271,7 @@ class Tape:
         t = dropout_threshold(p)
         if rng is None or t == 0:
             return x
-        n = x.value.size
-        lanes = rng.bit_generator.random_raw((n + 3) // 4).view(np.uint16)[:n]
-        # Backward keeps only the 1-byte mask; multiplying by it before the
-        # scale is exact, so the order does not change a bit.
-        mask = lanes.reshape(x.shape) >= t
-        scale = x.value.dtype.type(LANES / (LANES - t))
+        mask, scale = _dropout_mask(x.shape, x.dtype, t, rng)
         val = x.value * mask
         val *= scale
 
@@ -265,6 +282,59 @@ class Tape:
                 _accumulate(x, g)
 
         return self._emit(val, (x,), bwd)
+
+    def dense_block(self, h: Tensor, w: Tensor, b: Tensor, h0: Tensor | None,
+                    p: float, rng: np.random.Generator | None) -> Tensor:
+        """One MLP layer as one node: ``dropout(relu(h @ w + b), p, rng)``,
+        plus ``h0`` when given (an initial residual).
+
+        Values and gradients equal those of the composed ``matmul``, ``add``,
+        ``relu``, ``dropout`` and ``add`` to the bit: forward runs the same
+        elementwise steps in place on the product's buffer, and backward the
+        composed closures' steps in their order. A recorded node saves ``h``,
+        the 1-byte ``pre > 0`` mask and the 1-byte dropout mask.
+        """
+        out_shape = (h.shape[0], w.shape[1])
+        if h.shape[1] != w.shape[0]:
+            raise ValueError(f"dense_block shape mismatch {h.shape} @ {w.shape}")
+        if b.shape != (1, w.shape[1]):
+            raise ValueError(f"dense_block bias shape {b.shape}, want (1, {w.shape[1]})")
+        if h0 is not None and h0.shape != out_shape:
+            raise ValueError(f"dense_block residual shape {h0.shape}, want {out_shape}")
+        t = dropout_threshold(p)
+        parents = (h, w, b) if h0 is None else (h, w, b, h0)
+        saves = self.record and any(x.tracked for x in parents)
+        val = h.value @ w.value
+        val += b.value
+        keep = val > 0.0 if saves else None
+        np.maximum(val, 0.0, out=val)
+        mask = scale = None
+        if rng is not None and t > 0:
+            mask, scale = _dropout_mask(out_shape, val.dtype, t, rng)
+            val *= mask
+            val *= scale
+        if h0 is not None:
+            val += h0.value
+
+        def bwd(up):
+            if mask is None:
+                g = up * keep
+            else:
+                g = up * mask
+                g *= scale
+                g *= keep
+            if h0 is not None and h0.tracked:
+                # up is not read again, so h0 may keep it as its buffer; when
+                # h is h0 (a first layer), h0 still gets up before g @ w.T.
+                _accumulate(h0, up)
+            if b.tracked:
+                _accumulate(b, g.sum(axis=0, keepdims=True))
+            if h.tracked:
+                _accumulate(h, _left_grad(g, w.value))
+            if w.tracked:
+                _accumulate(w, h.value.T @ g)
+
+        return self._emit(val, parents, bwd)
 
     def concat_rows(self, a: Tensor, b: Tensor) -> Tensor:
         """Stack b's rows below a's: (m,d),(k,d) -> (m+k,d)."""

@@ -40,14 +40,10 @@ def hits_at_k(pos_scores: np.ndarray, neg_scores: np.ndarray, k: int) -> float:
         raise ValueError("k must be >= 1")
     if len(pos) == 0:
         raise ValueError("hits@k needs at least one positive")
+    MetricSpec("hits", k).check_pool(neg.shape)
     if neg.ndim == 2:
-        if neg.shape[1] < k:
-            raise ValueError(f"hits@{k} needs at least {k} negatives per source, "
-                             f"got {neg.shape[1]}")
         return float(np.mean(_per_source_ranks(pos, neg) <= k))
     neg = neg.ravel()
-    if len(neg) < k:
-        raise ValueError(f"hits@{k} needs at least {k} negatives, got {len(neg)}")
     threshold = np.partition(neg, len(neg) - k)[len(neg) - k]
     return float(np.mean(pos > threshold))
 
@@ -90,6 +86,17 @@ class MetricSpec:
         if kind == "hits" and k.strip().isdigit() and int(k) >= 1:
             return cls("hits", int(k))
         raise ValueError(f"unknown metric {name!r} (use 'hits@K' with K >= 1, or 'mrr')")
+
+    def check_pool(self, shape: tuple[int, ...], where: str = "") -> None:
+        """Raise ValueError unless negative scores of ``shape`` are enough
+        for this metric: hits@K needs K negatives in a shared pool (any shape
+        but 2-D) or K per source (2-D). ``where`` names the pool."""
+        per_source = len(shape) == 2
+        have = shape[1] if per_source else int(np.prod(shape))
+        if self.kind == "hits" and have < self.k:
+            raise ValueError(f"{self} needs at least {self.k} negatives"
+                             f"{' per source' if per_source else ''}, got {have}"
+                             f"{f' in {where}' if where else ''}")
 
     def evaluate(self, pos_scores: np.ndarray, neg_scores: np.ndarray) -> float:
         if self.kind == "hits":

@@ -154,7 +154,7 @@ class Encoder:
             return tape.add(own, agg)
         mixed = tape.add(tape.add(z, tape.scalar_mul(z, layer["eps"])),
                          tape.spmm(ops.op, z))
-        h = tape.relu(tape.add(tape.matmul(mixed, layer["w1"]), layer["b1"]))
+        h = tape.dense_block(mixed, layer["w1"], layer["b1"], None, 0.0, None)
         return tape.add(tape.matmul(h, layer["w2"]), layer["b2"])
 
     def forward(self, tape: Tape, ops: MessageOperators, z0: Tensor) -> Tensor:
@@ -250,12 +250,9 @@ class Decoder:
         if self.cfg.decoder == "dot":
             return tape.row_dot(zu, zv)
         h0 = tape.hadamard(zu, zv)
-        h = h0
+        h, res = h0, h0 if self.cfg.decoder_residual else None
         for w, b in zip(self.weights, self.biases):
-            h = tape.relu(tape.add(tape.matmul(h, w), b))
-            h = tape.dropout(h, self.cfg.dropout, rng)
-            if self.cfg.decoder_residual:
-                h = tape.add(h, h0)
+            h = tape.dense_block(h, w, b, res, self.cfg.dropout, rng)
         return tape.add(tape.matmul(h, self.w_head), self.b_head)
 
 

@@ -119,6 +119,14 @@ def train_epoch(model: GAEModel, split: EdgeSplit, cfg: ModelConfig, *,
     return total / seen
 
 
+def check_negatives(split: EdgeSplit, metric: MetricSpec, source: str = "the split") -> None:
+    """Raise ValueError unless the split's valid and test negatives are
+    enough for ``metric`` (``MetricSpec.check_pool``); ``source`` names the
+    split in the message."""
+    for name, neg in (("valid", split.valid_neg), ("test", split.test_neg)):
+        metric.check_pool(neg.shape[:-1], f"neg.{name} of {source}")
+
+
 @dataclass
 class RunRecord:
     """Per-epoch trace plus the model-selection outcome of one run."""
@@ -156,16 +164,18 @@ def fit(model: GAEModel, split: EdgeSplit, cfg: ModelConfig, seed: int = 0,
     comes from the checkpoint with the best validation metric. The message
     operator follows the model's own conv and dtype (``model.cfg``); ``cfg``
     supplies the training settings. The first call in a process also applies
-    ``_keep_heap_warm``.
+    ``_keep_heap_warm``. Negatives too few for the metric raise ValueError
+    before the first epoch (``check_negatives``).
     """
     if len(split.valid_pos) == 0:
         raise ValueError("fit needs validation edges for model selection")
+    metric = MetricSpec.parse(cfg.metric)
+    check_negatives(split, metric)
     _keep_heap_warm()
     rng = np.random.default_rng(seed)
     g_train = Graph.from_edges(model.graph.num_nodes, split.train_pos)
     ops = MessageOperators.build(g_train, model.cfg.conv, model.cfg.np_dtype)
     adam = Adam(model.params(), cfg.lr)
-    metric = MetricSpec.parse(cfg.metric)
     record = RunRecord(seed=seed)
     snap = None
     stale = 0

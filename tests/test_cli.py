@@ -269,6 +269,24 @@ def test_too_few_per_source_negatives_exit_2_before_training(capsys, monkeypatch
     assert not any(runs.iterdir())
 
 
+def test_shared_pool_smaller_than_k_exits_2_before_training(capsys, monkeypatch, tmp_path):
+    from linkgae import train
+
+    def no_epoch(*a, **k):
+        raise AssertionError("train_epoch ran")
+
+    monkeypatch.setattr(train, "train_epoch", no_epoch)
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    rc = run(["train", "--dataset", TINY, "--set", "metric=hits@100,epochs=20,eval_every=5",
+              "--out-dir", str(runs)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "hits@100 needs at least 100 negatives, got" in err
+    assert "neg.valid of the seed-0 random split" in err
+    assert not any(runs.iterdir())
+
+
 def test_split_roundtrip(tmp_path):
     out = tmp_path / "split.json"
     assert run(["split", "--dataset", TINY, "--out", str(out), "--seed", "3"]) == 0

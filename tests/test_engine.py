@@ -371,3 +371,61 @@ def test_add_gives_each_input_its_own_gradient_buffer():
     y = Tensor(rng.standard_normal((4, 3)), param=True)
     assert finite_difference_check([x, y], _aliasing_case(Tape.add)) < 1e-6
     assert finite_difference_check([x, y], _aliasing_case(sharing_add)) > 1e-2
+
+
+def _composed_block(tape, h, w, b, h0, p, rng):
+    """dense_block as the five ops it replaces."""
+    out = tape.dropout(tape.relu(tape.add(tape.matmul(h, w), b)), p, rng)
+    return out if h0 is None else tape.add(out, h0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("p", [0.0, 0.3])
+@pytest.mark.parametrize("residual", [False, True])
+def test_dense_block_equals_the_composed_ops_to_the_bit(dtype, p, residual):
+    # Two layers as in the decoder: with the residual, layer 0's h is h0.
+    def run(block):
+        rng = np.random.default_rng(21)
+        x0 = Tensor(rng.standard_normal((37, 6)).astype(dtype), param=True)
+        params = [x0]
+        for _ in range(2):
+            params.append(Tensor(rng.standard_normal((6, 6)).astype(dtype), param=True))
+            params.append(Tensor(rng.standard_normal((1, 6)).astype(dtype), param=True))
+        tape, drop_rng, h = Tape(), np.random.default_rng(5), x0
+        for w, b in zip(params[1::2], params[2::2]):
+            h = block(tape, h, w, b, x0 if residual else None, p, drop_rng)
+        weights = Tensor(rng.standard_normal(h.shape).astype(dtype))
+        tape.backward(tape.sum(tape.hadamard(h, weights)))
+        return [h.value] + [t.grad for t in params] + [drop_rng.random()]
+
+    want, got = run(_composed_block), run(Tape.dense_block)
+    for a, b in zip(want, got, strict=True):
+        assert np.array_equal(a, b)
+        assert np.asarray(a).dtype == np.asarray(b).dtype
+
+
+def test_dense_block_saves_only_its_masks_and_inputs():
+    rng = np.random.default_rng(3)
+    h = Tensor(rng.standard_normal((9, 4)), param=True)
+    w = Tensor(rng.standard_normal((4, 4)), param=True)
+    b = Tensor(np.zeros((1, 4)), param=True)
+    tape = Tape()
+    tape.dense_block(h, w, b, h, 0.5, np.random.default_rng(0))
+    saved = [c.cell_contents for c in tape.nodes[-1].backward.__closure__]
+    assert sorted(a.dtype.name for a in saved if isinstance(a, np.ndarray)) == ["bool", "bool"]
+    # unrecorded, as in scoring: no node, and the same value
+    eval_tape = Tape(record=False)
+    out = eval_tape.dense_block(h, w, b, h, 0.5, None)
+    assert eval_tape.nodes == []
+    assert np.array_equal(out.value, _composed_block(eval_tape, h, w, b, h, 0.5, None).value)
+
+
+def test_dense_block_shape_mismatches_raise():
+    h, w = Tensor(np.ones((5, 3))), Tensor(np.ones((3, 4)))
+    for args in ((Tensor(np.ones((4, 4))), Tensor(np.ones((1, 4))), None),
+                 (w, Tensor(np.ones((1, 3))), None),
+                 (w, Tensor(np.ones((1, 4))), h)):
+        with pytest.raises(ValueError, match="dense_block"):
+            Tape().dense_block(h, *args, 0.0, None)
+    with pytest.raises(ValueError, match="dropout rate"):
+        Tape().dense_block(h, w, Tensor(np.ones((1, 4))), None, 1.0, None)

@@ -1,5 +1,6 @@
 """Import layering: every import sits at module level, and the tape and the
-metrics load no other linkgae module."""
+metrics load no other linkgae module. The benchmark's tracer wraps tape ops
+by name, so each name it lists must exist."""
 
 import ast
 import os
@@ -10,6 +11,8 @@ from pathlib import Path
 import pytest
 
 import linkgae
+from linkgae import engine
+from perfbench import spans
 
 PACKAGE = Path(linkgae.__file__).parent
 
@@ -32,3 +35,8 @@ def test_leaf_module_loads_no_other_linkgae_module(module):
                           env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
                           check=True, timeout=60)
     assert proc.stdout.split() == ["linkgae", module]
+
+
+@pytest.mark.parametrize("op", spans.TAPE_OPS)
+def test_every_traced_tape_op_is_a_tape_method(op):
+    assert callable(getattr(engine.Tape, op, None)), f"perfbench traces a missing Tape.{op}"

@@ -359,6 +359,21 @@ def test_mlp_decoder_zero_head_gives_chance_probability():
     assert np.all(expit(logits.value) == 0.5)
 
 
+def test_mlp_decoder_records_one_block_node_per_layer():
+    from linkgae.engine import Tensor
+    rng = np.random.default_rng(0)
+    for residual in (True, False):
+        dec = Decoder(ModelConfig(decoder="mlp", mlp_layers=3, dropout=0.2, hidden_dim=8,
+                                  decoder_residual=residual), rng)
+        tape = Tape()
+        dec.forward(tape, Tensor(rng.standard_normal((5, 8)), param=True),
+                    np.array([[0, 1], [2, 3], [1, 4]]), rng=rng)
+        ops = [node.backward.__qualname__.split(".")[1] for node in tape.nodes]
+        assert ops.count("dense_block") == 3
+        assert not {"relu", "dropout"} & set(ops)
+        assert ops.count("add") == 1  # the head's bias
+
+
 def test_decoder_rejects_out_of_range_edge():
     from linkgae.engine import Tensor
     dec = Decoder(ModelConfig(decoder="dot", hidden_dim=2), np.random.default_rng(0))

@@ -178,6 +178,24 @@ def test_fit_requires_validation_edges():
         fit(model, split, tiny_cfg(), seed=0)
 
 
+@pytest.mark.parametrize("shape", ["shared", "per-source"])
+def test_fit_rejects_too_few_test_negatives_before_the_first_epoch(shape, monkeypatch):
+    def no_epoch(*a, **k):
+        raise AssertionError("train_epoch ran")
+
+    g, split = trainable_graph(seed=5)
+    k = 6  # the valid pool holds more
+    if shape == "shared":
+        split.test_neg = split.test_neg[:k - 1]
+    else:
+        split.test_neg = np.stack([split.test_pos] * (k - 1), axis=1)  # k - 1 per source
+    monkeypatch.setattr(train, "train_epoch", no_epoch)
+    cfg = tiny_cfg(metric=f"hits@{k}")
+    want = f"hits@{k} needs at least {k} negatives{' per source' if shape == 'per-source' else ''}"
+    with pytest.raises(ValueError, match=f"{want}, got {k - 1} in neg.test of the split"):
+        fit(GAEModel(g, cfg, seed=0), split, cfg, seed=0)
+
+
 def test_fit_selects_best_validation_checkpoint():
     g, split = trainable_graph(seed=6)
     cfg = tiny_cfg(epochs=30, eval_every=2, patience=100)
