@@ -31,7 +31,7 @@ from .graph import EdgeSplit, Graph, load_graph, random_split
 from .heuristics import HEURISTICS, heuristic_eval, structure_feature_report
 from .model import GAEModel
 from .synth import is_synth_spec, parse_synth_spec
-from .train import RunRecord, check_negatives, fit
+from .train import check_negatives, fit
 
 # Compact settings used when experimenting on synthetic graphs.
 SYNTH_DEFAULT = ModelConfig(
@@ -84,13 +84,6 @@ def _train_splits(g: Graph, cfg: ModelConfig, seeds: list[int],
     return splits
 
 
-def _run_seed(g: Graph, cfg: ModelConfig, seed: int,
-              split: EdgeSplit | None = None, log=None) -> RunRecord:
-    if split is None:
-        split = random_split(g, seed=seed)
-    return fit(GAEModel(g, cfg, seed=seed), split, cfg, seed=seed, log=log)
-
-
 def _out_dir(base: str, dataset: str, cfg: ModelConfig) -> Path:
     stamp = time.strftime("%Y%m%d-%H%M%S")
     out = Path(base) / Path(dataset).name / f"{stamp}-{config_hash(cfg)}"
@@ -115,7 +108,7 @@ def cmd_train(args) -> int:
         if args.verbose:
             log = lambda e, l, v: print(
                 f"  epoch {e:4d} loss {l:.4f}" + (f" valid {v:.4f}" if v is not None else ""))
-        record = _run_seed(g, cfg, seed, split, log=log)
+        record = fit(GAEModel(g, cfg, seed=seed), split, cfg, seed=seed, log=log)
         record.write_csv(out / f"epochs-seed{seed}.csv")
         per_seed[str(seed)] = record.summary()
         print(f"seed {seed}: test {cfg.metric} = {record.test_metric:.4f} "
@@ -176,9 +169,12 @@ def cmd_grid(args) -> int:
         variants = [(str(v), {args.axis: v}) for v in values]
         stem, label, prefix = "sweep", "value", f"{args.axis}="
     seeds = list(range(args.seed, args.seed + args.seeds))
+    splits = _train_splits(g, cfg, seeds, None)
     lines = [",".join([label] + [f"seed{s}" for s in seeds] + ["mean", "std"])]
     for name, delta in variants:
-        vals = [_run_seed(g, cfg.replace(**delta), seed).test_metric for seed in seeds]
+        vcfg = cfg.replace(**delta)
+        vals = [fit(GAEModel(g, vcfg, seed=seed), split, vcfg, seed=seed).test_metric
+                for seed, split in zip(seeds, splits)]
         mean, std = float(np.mean(vals)), float(np.std(vals))
         lines.append(",".join([name] + [repr(v) for v in vals] + [repr(mean), repr(std)]))
         print(f"{prefix}{name}: {mean:.4f} +- {std:.4f}")

@@ -26,7 +26,7 @@ from scipy.special import expit
 class Tensor:
     """A dense 2-D value with an optional same-shape gradient buffer."""
 
-    __slots__ = ("value", "grad", "param", "tracked", "name")
+    __slots__ = ("value", "grad", "tracked", "name")
 
     def __init__(self, value, param: bool = False, name: str | None = None, dtype=None):
         arr = np.asarray(value, dtype=dtype)
@@ -36,8 +36,8 @@ class Tensor:
             arr = arr.astype(np.float64)
         self.value = arr
         self.grad: np.ndarray | None = None
-        self.param = param
-        # Tracked tensors participate in backward; constants do not.
+        # Tracked tensors (parameters, and op outputs of a tracked parent)
+        # participate in backward; constants do not.
         self.tracked = param
         self.name = name
 

@@ -20,54 +20,40 @@ def _scores(scores: np.ndarray, role: str) -> np.ndarray:
     return x
 
 
-def _per_source_ranks(pos: np.ndarray, neg: np.ndarray) -> np.ndarray:
-    """1 + #(own negatives >= pos_i) per positive, for (num_pos, num_neg) negatives."""
+def _ranks(pos_scores: np.ndarray, neg_scores: np.ndarray) -> np.ndarray:
+    """1 + #(negatives scoring >= pos_i) per positive.
+
+    ``neg_scores`` is one shared pool (1-D), ranked from one sort in
+    O(m + k) memory, or per-source candidate sets of shape (num_pos, num_neg),
+    each positive ranked against its own row.
+    """
+    pos = _scores(pos_scores, "positive").ravel()
+    neg = _scores(neg_scores, "negative")
+    if pos.size == 0:
+        raise ValueError("ranking needs at least one positive")
+    if neg.size == 0:
+        raise ValueError("ranking needs a non-empty negative set")
+    if neg.ndim == 1:
+        return 1 + len(neg) - np.searchsorted(np.sort(neg), pos, side="left")
+    if neg.ndim != 2:
+        raise ValueError(f"neg_scores must be 1-D or 2-D, got ndim={neg.ndim}")
     if neg.shape[0] != pos.shape[0]:
         raise ValueError("per-source negatives must match the positive count")
     return 1 + np.sum(neg >= pos[:, None], axis=1)
 
 
 def hits_at_k(pos_scores: np.ndarray, neg_scores: np.ndarray, k: int) -> float:
-    """Fraction of positives ranked at most k, rank as in ``mrr``.
-
-    Against a shared pool (1-D) that is scoring strictly above its k-th
-    largest negative; per-source negatives, of shape (num_pos, num_neg),
-    rank each positive against its own row.
-    """
-    pos = _scores(pos_scores, "positive").ravel()
-    neg = _scores(neg_scores, "negative")
+    """Fraction of positives ranked at most k (``_ranks``); per-source
+    negatives need k per row."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if len(pos) == 0:
-        raise ValueError("hits@k needs at least one positive")
-    MetricSpec("hits", k).check_pool(neg.shape)
-    if neg.ndim == 2:
-        return float(np.mean(_per_source_ranks(pos, neg) <= k))
-    neg = neg.ravel()
-    threshold = np.partition(neg, len(neg) - k)[len(neg) - k]
-    return float(np.mean(pos > threshold))
+    MetricSpec("hits", k).check_pool(np.shape(neg_scores))
+    return float(np.mean(_ranks(pos_scores, neg_scores) <= k))
 
 
 def mrr(pos_scores: np.ndarray, neg_scores: np.ndarray) -> float:
-    """Mean reciprocal rank; rank = 1 + #(negatives scoring >= the positive).
-
-    ``neg_scores`` is either one shared pool (1-D) or per-source candidate
-    sets of shape (num_pos, num_neg).
-    """
-    pos = _scores(pos_scores, "positive").ravel()
-    neg = _scores(neg_scores, "negative")
-    if pos.size == 0:
-        raise ValueError("mrr needs at least one positive")
-    if neg.size == 0:
-        raise ValueError("mrr needs a non-empty negative set")
-    if neg.ndim == 1:
-        # the negatives >= each positive, from one sort: O(m + k) memory
-        ranks = 1 + len(neg) - np.searchsorted(np.sort(neg), pos, side="left")
-    elif neg.ndim == 2:
-        ranks = _per_source_ranks(pos, neg)
-    else:
-        raise ValueError(f"neg_scores must be 1-D or 2-D, got ndim={neg.ndim}")
-    return float(np.mean(1.0 / ranks))
+    """Mean reciprocal rank, rank as in ``_ranks``."""
+    return float(np.mean(1.0 / _ranks(pos_scores, neg_scores)))
 
 
 @dataclass(frozen=True)

@@ -53,46 +53,40 @@ class Graph:
     """Undirected graph in CSR form; immutable after construction.
 
     ``indptr``/``indices`` store both directions of every edge, column
-    indices sorted ascending within each row. ``dropped`` counts the
-    duplicate/self-loop inputs discarded during construction.
+    indices sorted ascending within each row. Duplicate edges and self-loops
+    are dropped during construction.
     """
 
     num_nodes: int
     indptr: Array
     indices: Array
     features: Array | None = None
-    dropped: int = 0
     _pair_codes: Array = field(default=None, repr=False)  # sorted canonical codes
 
     @classmethod
     def from_edges(cls, num_nodes: int, edges: Array,
                    features: Array | None = None) -> "Graph":
+        n = num_nodes
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        if edges.size and (edges.min() < 0 or edges.max() >= num_nodes):
-            raise ValueError(f"edge endpoint out of range for n={num_nodes}")
-        self_loops = int(np.sum(edges[:, 0] == edges[:, 1]))
-        edges = edges[edges[:, 0] != edges[:, 1]]
-        codes = np.unique(_codes(edges, num_nodes)) if edges.size else np.empty(0, np.int64)
-        dropped = self_loops + (len(edges) - len(codes))
-        und = _decode(codes, num_nodes)
-        both = np.concatenate([und, und[:, ::-1]], axis=0) if und.size else und
-        order = np.lexsort((both[:, 1], both[:, 0])) if both.size else np.empty(0, np.int64)
-        both = both[order]
-        indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-        np.add.at(indptr, both[:, 0] + 1, 1)
-        indptr = np.cumsum(indptr)
+        if edges.size and (edges.min() < 0 or edges.max() >= n):
+            raise ValueError(f"edge endpoint out of range for n={n}")
+        codes = np.unique(_codes(edges[edges[:, 0] != edges[:, 1]], n))
+        u, v = np.divmod(codes, n)
+        # row * n + col for both directions: sorted, that is CSR order
+        rows, cols = np.divmod(np.sort(np.concatenate([codes, v * n + u])), n)
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
         if features is not None:
             features = np.asarray(features, dtype=np.float64)
-            if features.ndim != 2 or features.shape[0] != num_nodes:
+            if features.ndim != 2 or features.shape[0] != n:
                 raise ValueError(
                     f"feature rows ({features.shape[0] if features.ndim == 2 else '?'}) "
-                    f"must equal num_nodes ({num_nodes})")
+                    f"must equal num_nodes ({n})")
             finite = np.isfinite(features).all(axis=1)
             if not finite.all():
                 row = int(np.argmin(finite))
                 raise ValueError(f"feature row {row} is not finite: "
                                  f"{features[row][~np.isfinite(features[row])][0]}")
-        return cls(num_nodes, indptr, both[:, 1].copy(), features, dropped, codes)
+        return cls(n, indptr, cols, features, codes)
 
     @property
     def degrees(self) -> Array:
@@ -111,7 +105,7 @@ class Graph:
 def load_graph(edge_file: str | Path, feature_file: str | Path | None = None) -> Graph:
     """Load an undirected graph from a "u v" edge file.
 
-    Duplicate edges and self-loops are dropped (counted in ``graph.dropped``).
+    Duplicate edges and self-loops are dropped.
     If ``feature_file`` is given, node count is taken from its row count and
     every edge endpoint must fit; otherwise it is max node id + 1.
     """
@@ -218,41 +212,34 @@ class SparseOperator:
         return out
 
 
+def _adjacency(g: Graph) -> sp.csr_matrix:
+    """The float64 0/1 adjacency (no self-loops) on ``g``'s own CSR arrays."""
+    return sp.csr_matrix((np.ones(len(g.indices)), g.indices, g.indptr),
+                         shape=(g.num_nodes, g.num_nodes))
+
+
 def normalize(g: Graph, dtype=np.float64) -> SparseOperator:
-    """Symmetrically normalized adjacency with self-loops.
+    """Symmetrically normalized adjacency with self-loops, D^-1/2 (A + I) D^-1/2.
 
     Entry (u, v) = ((deg(u)+1) * (deg(v)+1)) ** -0.5 for every edge and
     every diagonal position; symmetric, all values in (0, 1]. Like every
     operator builder it computes in float64 and rounds once to ``dtype``.
     """
-    n = g.num_nodes
-    inv = 1.0 / np.sqrt(g.degrees + 1.0)
-    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(g.indptr))
-    rows = np.concatenate([rows, np.arange(n, dtype=np.int64)])
-    cols = np.concatenate([g.indices, np.arange(n, dtype=np.int64)])
-    vals = (inv[rows] * inv[cols]).astype(dtype)
-    return SparseOperator(sp.csr_matrix((vals, (rows, cols)), shape=(n, n)),
-                          symmetric=True)
+    d = sp.diags(1.0 / np.sqrt(g.degrees + 1.0))
+    a = d @ (_adjacency(g) + sp.eye(g.num_nodes, format="csr")) @ d
+    return SparseOperator(a.astype(dtype), symmetric=True)
 
 
 def mean_adjacency(g: Graph, dtype=np.float64) -> SparseOperator:
-    """Row-normalized adjacency (no self-loops); isolated rows stay zero."""
-    n = g.num_nodes
+    """Row-normalized adjacency (no self-loops), D^-1 A; isolated rows stay zero."""
     deg = g.degrees.astype(np.float64)
     scale = np.divide(1.0, deg, out=np.zeros_like(deg), where=deg > 0)
-    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(g.indptr))
-    vals = scale[rows].astype(dtype)
-    return SparseOperator(sp.csr_matrix((vals, (rows, g.indices)), shape=(n, n)),
-                          symmetric=False)
+    return SparseOperator((sp.diags(scale) @ _adjacency(g)).astype(dtype), symmetric=False)
 
 
 def plain_adjacency(g: Graph, dtype=np.float64) -> SparseOperator:
     """Raw 0/1 adjacency (no self-loops)."""
-    n = g.num_nodes
-    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(g.indptr))
-    vals = np.ones(len(g.indices), dtype=dtype)
-    return SparseOperator(sp.csr_matrix((vals, (rows, g.indices)), shape=(n, n)),
-                          symmetric=True)
+    return SparseOperator(_adjacency(g).astype(dtype), symmetric=True)
 
 
 # ---------------------------------------------------------------------------
@@ -344,12 +331,8 @@ def random_split(g: Graph, ratios: tuple[float, float, float] = (0.7, 0.1, 0.2),
     edges = g.edge_list()
     m = len(edges)
     sizes = [int(r * m) for r in ratios]
-    rem = m - sum(sizes)
-    for i in range(len(sizes)):
-        if rem <= 0:
-            break
+    for i in range(m - sum(sizes)):
         sizes[i] += 1
-        rem -= 1
     if any(s == 0 for s, r in zip(sizes, ratios) if r > 0):
         raise ValueError(f"graph has too few edges ({m}) for ratios {ratios}")
     rng = np.random.default_rng(seed)

@@ -80,7 +80,7 @@ class InputRepresentation:
             raise ValueError(f"unknown input mode {mode!r}; choose from {CHOICES['input_mode']}")
 
     def params(self) -> list[Tensor]:
-        return [t for t in (self.table, self.w_proj) if t is not None and t.param]
+        return [t for t in (self.table, self.w_proj) if t is not None and t.tracked]
 
     def forward(self, tape: Tape) -> Tensor:
         if self.raw is None:

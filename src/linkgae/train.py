@@ -158,7 +158,8 @@ class RunRecord:
 
 def fit(model: GAEModel, split: EdgeSplit, cfg: ModelConfig, seed: int = 0,
         on_batch=None, log=None) -> RunRecord:
-    """Train with early stopping on the validation metric.
+    """Train with early stopping on the validation metric, evaluated every
+    ``cfg.eval_every`` epochs and at the last epoch.
 
     Message passing sees train edges only; the reported test metric always
     comes from the checkpoint with the best validation metric. The message
@@ -193,7 +194,7 @@ def fit(model: GAEModel, split: EdgeSplit, cfg: ModelConfig, seed: int = 0,
         usage = resource.getrusage(resource.RUSAGE_SELF)
         record.memory.append((usage.ru_minflt - faults0, usage.ru_maxrss / 1024.0))
         valid = None
-        if epoch % cfg.eval_every == 0:
+        if epoch % cfg.eval_every == 0 or epoch == cfg.epochs:
             valid = evaluate(split.valid_pos, split.valid_neg)
             if valid > record.best_valid:
                 record.best_valid = valid
@@ -208,10 +209,6 @@ def fit(model: GAEModel, split: EdgeSplit, cfg: ModelConfig, seed: int = 0,
         if valid is not None and stale >= cfg.patience:
             break
 
-    if snap is None:  # epochs < eval_every: select the final state
-        record.best_valid = evaluate(split.valid_pos, split.valid_neg)
-        record.best_epoch = record.epochs[-1][0] if record.epochs else 0
-        snap = model.snapshot()
     model.restore(snap)
     record.test_metric = evaluate(split.test_pos, split.test_neg)
     return record

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from linkgae.cli import main
-from linkgae.graph import EdgeSplit
+from linkgae.graph import EdgeSplit, random_split
 
 FAST = ("hidden_dim=16,epochs=4,eval_every=2,patience=2,batch_size=512,mlp_layers=2,"
         "metric=hits@10,lr=0.01")
@@ -166,6 +166,36 @@ def test_sweep_single_value_single_row(tmp_path):
     lines = csv.read_text().strip().split("\n")
     assert len(lines) == 2
     assert lines[1].startswith("2,")
+
+
+def test_grid_draws_one_split_per_seed(tmp_path, monkeypatch):
+    from linkgae import cli
+
+    calls = []
+
+    def counting(g, **kw):
+        calls.append(kw["seed"])
+        return random_split(g, **kw)
+
+    monkeypatch.setattr(cli, "random_split", counting)
+    rc = run(["ablate", "--dataset", TINY, "--axis", "conv", "--seeds", "2",
+              "--set", FAST, "--out-dir", str(tmp_path)])
+    assert rc == 0
+    assert calls == [0, 1]  # one split per seed, shared by the three variants
+
+
+def test_grid_pool_error_names_the_seed(capsys, monkeypatch, tmp_path):
+    from linkgae import train
+
+    def no_epoch(*a, **k):
+        raise AssertionError("train_epoch ran")
+
+    monkeypatch.setattr(train, "train_epoch", no_epoch)
+    rc = run(["ablate", "--dataset", TINY, "--axis", "conv", "--seeds", "1",
+              "--set", FAST + ",metric=hits@100", "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert "neg.valid of the seed-0 random split" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_sweep_empty_values_exits_2(capsys):

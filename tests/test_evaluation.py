@@ -26,6 +26,28 @@ def test_hits_tie_counts_as_miss():
     assert hits_at_k([0.5], [0.5, 0.1], 1) == 0.0
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_hits_at_k_below_one_raises(k):
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        hits_at_k([0.5], [0.4, 0.3], k)
+
+
+@pytest.mark.parametrize("per_source", [False, True], ids=["shared-pool", "per-source"])
+def test_hits_and_mrr_match_the_brute_force_rank(rng, per_source):
+    for _ in range(200):
+        m, k = rng.integers(1, 30, 2)
+        pos = rng.integers(-3, 4, m).astype(float)  # small ints: many ties
+        neg = rng.integers(-3, 4, (m, k) if per_source else k).astype(float)
+        for x in (pos, neg):
+            x[rng.random(x.shape) < 0.1] = np.inf
+            x[rng.random(x.shape) < 0.1] = -np.inf
+        rows = neg if per_source else np.broadcast_to(neg, (m, k))
+        ranks = 1 + np.array([np.sum(rows[i] >= p) for i, p in enumerate(pos)])
+        K = int(rng.integers(1, k + 1))
+        assert hits_at_k(pos, neg, K) == np.mean(ranks <= K)
+        assert mrr(pos, neg) == np.mean(1.0 / ranks)
+
+
 def test_hits_requires_enough_negatives():
     with pytest.raises(ValueError):
         hits_at_k([0.5], [0.4, 0.3], 5)

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from linkgae.graph import (EdgeSplit, Graph, load_graph, mean_adjacency,
                            normalize, plain_adjacency, random_split,
@@ -27,7 +28,7 @@ def test_load_path_graph(tmp_path):
     g = load_graph(f)
     assert g.num_nodes == 3
     assert list(g.degrees) == [1, 2, 1]
-    assert g.dropped == 0
+    assert g.num_edges == 2
 
 
 def test_load_drops_duplicates_and_self_loops(tmp_path):
@@ -35,7 +36,7 @@ def test_load_drops_duplicates_and_self_loops(tmp_path):
     f.write_text("0 1\n1 0\n0 0\n")
     g = load_graph(f)
     assert g.num_edges == 1
-    assert g.dropped == 2
+    assert g.edge_list().tolist() == [[0, 1]]
 
 
 def test_load_malformed_line_reports_line_number(tmp_path):
@@ -80,6 +81,23 @@ def test_graph_invariants_on_random_graphs(rng):
     for _ in range(20):
         g = random_graph(rng, n_max=25)
         validate_csr(g)
+
+
+@pytest.mark.parametrize("n, edges", [
+    (4, np.empty((0, 2))), (0, np.empty((0, 2))), (4, [[0, 0], [3, 3], [3, 3]]),
+    (5, [[1, 3], [3, 1], [1, 3], [4, 0], [0, 4]]),
+    (6, [[0, 1], [1, 0], [2, 2], [5, 0], [3, 4], [4, 3]]),
+], ids=["empty", "no-nodes", "self-loops-only", "duplicates-only", "mixed"])
+def test_from_edges_matches_a_dense_adjacency_csr(n, edges):
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    dense = np.zeros((n, n), dtype=bool)
+    dense[edges[:, 0], edges[:, 1]] = dense[edges[:, 1], edges[:, 0]] = True
+    np.fill_diagonal(dense, False)
+    want = sp.csr_matrix(dense)
+    g = Graph.from_edges(n, edges)
+    assert g.indptr.dtype == g.indices.dtype == np.int64
+    assert np.array_equal(g.indptr, want.indptr) and np.array_equal(g.indices, want.indices)
+    assert np.array_equal(g.edge_list(), np.argwhere(np.triu(dense)))
 
 
 def test_validate_rejects_broken_csr():

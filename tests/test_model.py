@@ -21,7 +21,7 @@ def test_orthogonal_gram_is_identity_when_n_below_d():
     rep = InputRepresentation(g, "learnable-orthogonal", 8, np.random.default_rng(0))
     gram = rep.table.value @ rep.table.value.T
     assert np.allclose(gram, np.eye(4), atol=1e-6)
-    assert rep.table.param
+    assert rep.table.tracked
 
 
 def test_all_ones_table():
@@ -56,7 +56,7 @@ def test_fixed_orthogonal_excluded_from_params():
     g = p3()
     rep = InputRepresentation(g, "fixed-orthogonal", 8, np.random.default_rng(0))
     assert rep.params() == []
-    assert not rep.table.param
+    assert not rep.table.tracked
 
 
 def test_raw_mode_requires_features():

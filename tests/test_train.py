@@ -218,6 +218,15 @@ def test_fit_selects_best_validation_checkpoint():
     assert again == record.test_metric
 
 
+def test_fit_evaluates_the_final_epoch():
+    g, split = trainable_graph(seed=13)
+    cfg = tiny_cfg(epochs=7, eval_every=5, patience=100)
+    record = fit(GAEModel(g, cfg, seed=13), split, cfg, seed=13)
+    evaluated = [e for e, _, v, _ in record.epochs if v is not None]
+    assert evaluated == [5, 7]
+    assert record.best_epoch in evaluated
+
+
 def test_fit_early_stops_after_patience_without_improvement():
     g, split = trainable_graph(seed=7)
     # lr=0 never improves: first eval sets best, second is a tie -> stale,
