@@ -160,7 +160,7 @@ def verify_cn_equivalence(g: Graph, k: int, d: int | None = None) -> float:
     rng = np.random.default_rng(0)
     z0 = Tensor(orthogonal_rows(n, d, rng))
     enc = Encoder(ModelConfig(conv="gcn", mpnn_layers=k, hidden_dim=d,
-                              encoder_residual=False), rng, dtype=np.float64)
+                              encoder_residual=False, dtype="float64"), rng)
     for layer in enc.layers:
         layer["w"].value = np.eye(d)  # each layer a pure propagation step
     ops = MessageOperators.build(g, "gcn", np.float64)
@@ -223,7 +223,7 @@ def _feature_graph(rng: np.random.Generator, n: int, p: float) -> Graph:
 def model_gradient_check(conv: str = "gcn", seed: int = 0,
                          input_mode: str = "learnable-orthogonal") -> float:
     """Finite-difference check of ``train.batch_loss``, the loss
-    ``train_step`` differentiates, wrt every parameter.
+    each training step differentiates, wrt every parameter.
 
     Builds a small 64-bit model (``input_mode`` on a random 12-node graph
     with 5 raw features, residuals, dropout, output normalization) and compares

@@ -23,6 +23,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__, checks
 from .config import ModelConfig, PRESETS, apply_overrides, config_hash, preset
@@ -91,6 +92,17 @@ def _out_dir(base: str, dataset: str, cfg: ModelConfig) -> Path:
     return out
 
 
+def _host_record() -> dict:
+    """What trained numbers depend on besides the seed and the config: the
+    numpy, scipy and BLAS builds, the BLAS thread setting and the usable CPUs."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "scipy": scipy.__version__,
+            "blas": {"name": blas.get("name"), "version": blas.get("version")},
+            "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+            "cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count()}
+
+
 def cmd_train(args) -> int:
     g = resolve_graph(args.dataset, args.data_dir)
     cfg = resolve_config(args)
@@ -100,7 +112,7 @@ def cmd_train(args) -> int:
     (out / "config.json").write_text(json.dumps({
         "dataset": args.dataset, "config": cfg.to_dict(),
         "config_hash": config_hash(cfg), "seeds": seeds,
-        "version": __version__}, indent=2))
+        "version": __version__, "host": _host_record()}, indent=2))
     t0 = time.perf_counter()
     per_seed = {}
     for seed, split in zip(seeds, splits):

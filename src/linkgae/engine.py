@@ -28,8 +28,8 @@ class Tensor:
 
     __slots__ = ("value", "grad", "tracked", "name")
 
-    def __init__(self, value, param: bool = False, name: str | None = None, dtype=None):
-        arr = np.asarray(value, dtype=dtype)
+    def __init__(self, value, param: bool = False, name: str | None = None):
+        arr = np.asarray(value)
         if arr.ndim != 2:
             raise ValueError(f"tensors are 2-D, got shape {arr.shape}")
         if not np.issubdtype(arr.dtype, np.floating):
@@ -360,10 +360,10 @@ class Tape:
 
         return self._emit(val, (x,), bwd)
 
-    def l2_normalize(self, x: Tensor, eps: float = 1e-12) -> Tensor:
-        """L2-normalize each row. Zero rows stay (numerically) zero."""
+    def l2_normalize(self, x: Tensor) -> Tensor:
+        """L2-normalize each row; norms floor at 1e-12, so zero rows stay zero."""
         norms = np.sqrt(np.sum(x.value * x.value, axis=1, keepdims=True))
-        norms = np.maximum(norms, eps)
+        norms = np.maximum(norms, 1e-12)
         val = x.value / norms
 
         def bwd(up):
@@ -407,13 +407,11 @@ class Adam:
     Grads are cleared after each step.
     """
 
-    def __init__(self, params: Sequence[Tensor], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: Sequence[Tensor], lr: float):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.value) for p in self.params]
         self.v = [np.zeros_like(p.value) for p in self.params]
@@ -422,23 +420,23 @@ class Adam:
         if all(p.grad is None for p in self.params):
             raise RuntimeError("Adam.step called with no gradients populated")
         self.t += 1
-        c1 = 1.0 - self.beta1 ** self.t
-        c2 = 1.0 - self.beta2 ** self.t
+        c1 = 1.0 - self.BETA1 ** self.t
+        c2 = 1.0 - self.BETA2 ** self.t
         for i, p in enumerate(self.params):
             if p.grad is None:
                 continue
             # In place, in the docstring formula's operation order, so the
             # result matches it to the bit; p.grad is only read.
             g, m, v = p.grad, self.m[i], self.v[i]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m *= self.BETA1
+            m += (1.0 - self.BETA1) * g
             tmp = g * g
-            tmp *= 1.0 - self.beta2
-            v *= self.beta2
+            tmp *= 1.0 - self.BETA2
+            v *= self.BETA2
             v += tmp
             np.divide(v, c2, out=tmp)
             np.sqrt(tmp, out=tmp)
-            tmp += self.eps
+            tmp += self.EPS
             step = m / c1
             step *= self.lr
             step /= tmp

@@ -93,13 +93,12 @@ class MetricSpec:
         return f"hits@{self.k}" if self.kind == "hits" else "mrr"
 
 
-def orthogonality_stats(table: np.ndarray, seed: int = 0,
-                        exact_limit: int = 2000,
+def orthogonality_stats(table: np.ndarray,
                         sample_pairs: int = 10 ** 6) -> tuple[float, float]:
     """Mean and std of |cosine| over distinct row pairs.
 
-    All pairs when n <= exact_limit, otherwise ``sample_pairs`` seeded
-    random pairs evaluated in blocks.
+    All pairs when n <= 2000, otherwise ``sample_pairs`` random pairs of
+    seed 0, evaluated in blocks.
     """
     x = np.asarray(table, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 2:
@@ -108,12 +107,12 @@ def orthogonality_stats(table: np.ndarray, seed: int = 0,
     norms = np.maximum(norms, 1e-30)
     xn = x / norms
     n = x.shape[0]
-    if n <= exact_limit:
+    if n <= 2000:
         gram = xn @ xn.T
         iu = np.triu_indices(n, k=1)
         vals = np.abs(gram[iu])
     else:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
         i = rng.integers(0, n, sample_pairs)
         j = rng.integers(0, n - 1, sample_pairs)
         j = j + (j >= i)

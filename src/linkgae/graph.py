@@ -292,8 +292,8 @@ class EdgeSplit:
         ``num_nodes`` nodes.
 
         Rejects node ids outside [0, num_nodes), self-pairs, positives shared
-        between train, valid and test, and negatives shaped other than (m, 2)
-        or (m, k, 2).
+        between train, valid and test, negatives shaped other than (m, 2) or
+        (m, k, 2), and negatives that are positives of the split.
         """
         positives = {"train": self.train_pos, "valid": self.valid_pos, "test": self.test_pos}
         named = {**positives, "valid negatives": self.valid_neg,
@@ -317,24 +317,29 @@ class EdgeSplit:
             if len(shared):
                 raise ValueError(f"split: {len(shared)} positive(s) in both {a} and {b}, "
                                  f"e.g. {_decode(shared[:1], num_nodes)[0].tolist()}")
+        positive = np.sort(np.concatenate(list(codes.values())))
+        for name in ("valid negatives", "test negatives"):
+            flat = named[name].reshape(-1, 2)
+            leaked = _find(positive, _codes(flat, num_nodes))[1]
+            if leaked.any():
+                raise ValueError(f"split {name}: {flat[leaked][0].tolist()} is a positive "
+                                 "of the split")
 
 
-def random_split(g: Graph, ratios: tuple[float, float, float] = (0.7, 0.1, 0.2),
-                 seed: int = 0) -> EdgeSplit:
-    """Random edge split; bucket sizes use floor-then-distribute rounding.
+def random_split(g: Graph, seed: int = 0) -> EdgeSplit:
+    """Random 70/10/20 train/valid/test edge split; bucket sizes use
+    floor-then-distribute rounding.
 
     Negative pools of size |valid| and |test| are sampled jointly from the
     non-edges, so they are disjoint from each other and from every edge.
     """
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError(f"split ratios must sum to 1, got {ratios}")
     edges = g.edge_list()
     m = len(edges)
-    sizes = [int(r * m) for r in ratios]
+    sizes = [int(r * m) for r in (0.7, 0.1, 0.2)]
     for i in range(m - sum(sizes)):
         sizes[i] += 1
-    if any(s == 0 for s, r in zip(sizes, ratios) if r > 0):
-        raise ValueError(f"graph has too few edges ({m}) for ratios {ratios}")
+    if 0 in sizes:
+        raise ValueError(f"graph has too few edges ({m}) for a 70/10/20 split")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(m)
     a, b = sizes[0], sizes[0] + sizes[1]

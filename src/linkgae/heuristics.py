@@ -5,8 +5,9 @@ Structural scores sum over shared neighbors r of (u, v):
 One numpy routine scores a whole batch. Pair i's two neighbor lists become
 the codes i*n + r, sorted because CSR rows are; one sorted-code search finds
 the shared r, and a bincount sums their weights per pair in ascending r, so
-scores are symmetric in (u, v) to the bit. Pairs go PAIR_CHUNK at a time, so
-a batch holds O(PAIR_CHUNK * max degree) codes however large it is.
+scores are symmetric in (u, v) to the bit. Chunks of pairs hold about
+CODE_BUDGET codes, at most CODE_BUDGET + max degree per side, however many
+pairs share a hub.
 The feature heuristic is cosine similarity of the endpoint feature rows.
 All heuristic evaluation runs on the train-edge graph only.
 """
@@ -19,35 +20,41 @@ from .evaluation import MetricSpec
 from .graph import Graph, EdgeSplit, _find
 
 EPSILON = 1e-9
-PAIR_CHUNK = 8192
+CODE_BUDGET = 1 << 17
 
 HEURISTICS = ("cn", "aa", "ra", "cos")
 
 
-def _neighbor_codes(g: Graph, nodes: np.ndarray) -> np.ndarray:
-    """``i * n + r`` for every neighbor r of ``nodes[i]``, ascending; nodes is nonempty."""
-    start, deg = g.indptr[nodes], g.indptr[nodes + 1] - g.indptr[nodes]
+def _neighbor_codes(g: Graph, start: np.ndarray, deg: np.ndarray) -> np.ndarray:
+    """``i * n + r`` for every r in CSR row i (``start[i]``, ``deg[i]`` long), ascending."""
     ends = np.cumsum(deg)
-    pos = np.arange(ends[-1]) + np.repeat(start - ends + deg, deg)
-    return np.repeat(np.arange(len(nodes)) * g.num_nodes, deg) + g.indices[pos]
+    offset = np.repeat(start - ends + deg, deg)
+    pos = np.arange(len(offset)) + offset
+    return np.repeat(np.arange(len(deg)) * g.num_nodes, deg) + g.indices[pos]
 
 
 def _structural(g: Graph, pairs: np.ndarray, which: str) -> np.ndarray:
     out = np.empty(len(pairs))
-    for s in range(0, len(pairs), PAIR_CHUNK):
-        u, v = pairs[s:s + PAIR_CHUNK].T
-        nv = _neighbor_codes(g, v)
-        i, r = np.divmod(nv[_find(_neighbor_codes(g, u), nv)[1]], g.num_nodes)
+    start = g.indptr[pairs]
+    size = g.indptr[pairs + 1] - start
+    cuts = []
+    if size.sum() >= CODE_BUDGET:  # pair i joins chunk (codes of pairs 0..i) // CODE_BUDGET
+        chunk = np.cumsum(size)[1::2] // CODE_BUDGET
+        cuts = (np.flatnonzero(chunk[1:] != chunk[:-1]) + 1).tolist()
+    for s, e in zip([0, *cuts], [*cuts, len(pairs)]):
+        nv = _neighbor_codes(g, start[s:e, 1], size[s:e, 1])
+        i, r = np.divmod(nv[_find(_neighbor_codes(g, start[s:e, 0], size[s:e, 0]), nv)[1]],
+                         g.num_nodes)
         if which == "cn":
-            out[s:s + len(u)] = np.bincount(i, minlength=len(u))
+            out[s:e] = np.bincount(i, minlength=e - s)
             continue
         deg = g.indptr[r + 1] - g.indptr[r]  # degrees of the shared neighbors only
         if which == "aa" and np.any(deg < 2):  # deg < 2 is shared only by a self-pair
-            bad = u[i[deg < 2][0]]
+            bad = pairs[s + i[deg < 2][0], 0]
             raise ValueError(f"Adamic-Adar is undefined for self-pair ({bad}, {bad}): "
                              "it has a degree-1 neighbor, and 1/ln 1 is infinite")
         weight = 1.0 / np.log(deg) if which == "aa" else 1.0 / deg
-        out[s:s + len(u)] = np.bincount(i, weights=weight, minlength=len(u))
+        out[s:e] = np.bincount(i, weights=weight, minlength=e - s)
     return out
 
 

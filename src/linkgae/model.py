@@ -110,9 +110,9 @@ class MessageOperators:
 class Encoder:
     """Stack of message-passing layers sharing one width."""
 
-    def __init__(self, cfg: ModelConfig, rng: np.random.Generator, dtype=np.float64):
+    def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
         self.cfg = cfg
-        d = cfg.hidden_dim
+        d, dtype = cfg.hidden_dim, cfg.np_dtype
         self._propagated: tuple | None = None  # (op, x, features) of forward_propagated
         self.layers: list[dict[str, Tensor]] = []
         for l in range(cfg.mpnn_layers):
@@ -219,13 +219,13 @@ class Encoder:
 class Decoder:
     """Dot-product or residual-MLP pair scorer; returns raw logits."""
 
-    def __init__(self, cfg: ModelConfig, rng: np.random.Generator, dtype=np.float64):
+    def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
         self.cfg = cfg
         self.weights: list[Tensor] = []
         self.biases: list[Tensor] = []
         self.w_head: Tensor | None = None
         self.b_head: Tensor | None = None
-        dim = cfg.hidden_dim
+        dim, dtype = cfg.hidden_dim, cfg.np_dtype
         if cfg.decoder == "mlp":
             for l in range(cfg.mlp_layers):
                 self.weights.append(Tensor(orthogonal_rows(dim, dim, rng, dtype),
@@ -261,12 +261,11 @@ class GAEModel:
 
     def __init__(self, g: Graph, cfg: ModelConfig, seed: int | np.random.Generator = 0):
         rng = np.random.default_rng(seed)
-        dtype = cfg.np_dtype
         self.graph = g
         self.cfg = cfg
-        self.input = InputRepresentation(g, cfg.input_mode, cfg.hidden_dim, rng, dtype)
-        self.encoder = Encoder(cfg, rng, dtype)
-        self.decoder = Decoder(cfg, rng, dtype)
+        self.input = InputRepresentation(g, cfg.input_mode, cfg.hidden_dim, rng, cfg.np_dtype)
+        self.encoder = Encoder(cfg, rng)
+        self.decoder = Decoder(cfg, rng)
 
     def params(self) -> list[Tensor]:
         return self.input.params() + self.encoder.params() + self.decoder.params()

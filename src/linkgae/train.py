@@ -78,44 +78,35 @@ def batch_loss(tape: Tape, model: GAEModel, ops: MessageOperators, pos: np.ndarr
     return bce_loss(tape, logits, len(pos))
 
 
-def train_step(model: GAEModel, batch: np.ndarray, cfg: ModelConfig, g_train: Graph,
-               ops: MessageOperators, adam: Adam, rng: np.random.Generator,
-               on_batch=None, *, epoch: int = 0, step: int = 0) -> tuple[float, int]:
-    """One optimizer step on a batch of positives plus fresh negatives.
-
-    Negatives are non-edges of the train graph ``g_train``, so valid and
-    test positives can be drawn as training negatives, as in OGB and PyG.
-    Returns the mean loss and the number of scored pairs. A non-finite loss
-    raises FloatingPointError naming ``epoch`` and ``step``, before any
-    parameter is updated.
-    """
-    negs = sample_negatives(g_train, cfg.neg_ratio * len(batch), rng)
-    bops = ops.masked(batch) if cfg.mask_input else ops
-    if on_batch is not None:
-        on_batch(batch, bops)
-    tape = Tape()
-    loss = batch_loss(tape, model, bops, batch, negs, rng)
-    if not np.isfinite(loss.item()):
-        raise FloatingPointError(
-            f"non-finite training loss {loss.item()} at epoch {epoch}, step {step}")
-    tape.backward(loss)
-    adam.step()
-    return loss.item(), len(batch) + len(negs)
-
-
 def train_epoch(model: GAEModel, split: EdgeSplit, cfg: ModelConfig, *,
                 g_train: Graph, ops: MessageOperators, adam: Adam, rng: np.random.Generator,
                 on_batch=None, epoch: int = 0) -> float:
-    """One pass over shuffled train positives; returns the mean loss."""
+    """One pass over shuffled train positives; returns the mean loss per pair.
+
+    Each batch gets fresh negatives from the non-edges of ``g_train`` (so, as
+    in OGB and PyG, valid and test positives can be drawn), is masked out of
+    ``ops`` when ``cfg.mask_input``, goes to ``on_batch`` with that operator,
+    and takes one Adam step. A non-finite loss raises FloatingPointError
+    naming ``epoch`` and the step, before any parameter is updated.
+    """
     m = len(split.train_pos)
     perm = rng.permutation(m)
     total, seen = 0.0, 0
     for step, s in enumerate(range(0, m, cfg.batch_size), 1):
         batch = split.train_pos[perm[s:s + cfg.batch_size]]
-        loss, n = train_step(model, batch, cfg, g_train, ops, adam, rng, on_batch,
-                             epoch=epoch, step=step)
-        total += loss * n
-        seen += n
+        negs = sample_negatives(g_train, cfg.neg_ratio * len(batch), rng)
+        bops = ops.masked(batch) if cfg.mask_input else ops
+        if on_batch is not None:
+            on_batch(batch, bops)
+        tape = Tape()
+        loss = batch_loss(tape, model, bops, batch, negs, rng)
+        if not np.isfinite(loss.item()):
+            raise FloatingPointError(
+                f"non-finite training loss {loss.item()} at epoch {epoch}, step {step}")
+        tape.backward(loss)
+        adam.step()
+        total += loss.item() * (len(batch) + len(negs))
+        seen += len(batch) + len(negs)
     return total / seen
 
 

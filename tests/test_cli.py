@@ -1,10 +1,13 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import linkgae
 from linkgae.cli import main
 from linkgae.graph import EdgeSplit, random_split
 
@@ -108,6 +111,25 @@ def test_train_writes_run_directory(tmp_path):
     assert set(summary["per_seed"]) == {"0", "1"}
     assert "test_mean" in summary and "test_std" in summary
     assert "config_hash" in summary and "version" in summary
+
+
+def test_config_records_the_blas_thread_count_of_its_run(tmp_path):
+    # Trained numbers can differ between BLAS thread counts, so each run
+    # directory says which count produced it.
+    blas_vars = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                 "NUMEXPR_NUM_THREADS", "LINKGAE_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in blas_vars}
+    env["PYTHONPATH"] = str(Path(linkgae.__file__).parent.parent)
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        subprocess.run([sys.executable, "-m", "linkgae.cli", "train", "--dataset", TINY,
+                        "--set", FAST + ",epochs=2", "--out-dir", str(out)],
+                       env={**env, "LINKGAE_THREADS": threads}, cwd=tmp_path,
+                       capture_output=True, text=True, check=True, timeout=300)
+        run_dir = next((out / TINY).iterdir())
+        host = json.loads((run_dir / "config.json").read_text())["host"]
+        assert host["OPENBLAS_NUM_THREADS"] == threads
+        assert host["numpy"] == np.__version__ and host["cpus"] >= 1
 
 
 def test_train_is_bit_deterministic(tmp_path):
@@ -287,8 +309,11 @@ def test_too_few_per_source_negatives_exit_2_before_training(capsys, monkeypatch
     path = tmp_path / "split.json"
     assert run(["split", "--dataset", TINY, "--out", str(path)]) == 0
     blob = json.loads(path.read_text())
-    blob["neg"]["test"] = [[[u, (u + j) % 100] for j in range(1, 6)] for u, _ in blob["test"]]
-    path.write_text(json.dumps(blob))  # (m, 5, 2) test negatives
+    positive = {tuple(sorted(e)) for key in ("train", "valid", "test") for e in blob[key]}
+    blob["neg"]["test"] = [[[u, w] for w in range(100)
+                            if w != u and tuple(sorted((u, w))) not in positive][:5]
+                           for u, _ in blob["test"]]
+    path.write_text(json.dumps(blob))  # (m, 5, 2) test negatives, none a positive
     monkeypatch.setattr(train, "train_epoch", no_epoch)
     runs = tmp_path / "runs"
     runs.mkdir()

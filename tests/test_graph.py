@@ -276,7 +276,7 @@ def ten_edge_graph() -> Graph:
 
 
 def test_split_bucket_sizes_floor_then_distribute():
-    split = random_split(ten_edge_graph(), (0.7, 0.1, 0.2), seed=3)
+    split = random_split(ten_edge_graph(), seed=3)
     assert (len(split.train_pos), len(split.valid_pos), len(split.test_pos)) == (7, 1, 2)
 
 
@@ -307,12 +307,10 @@ def test_split_partitions_edge_set_on_random_graphs(rng):
             assert not stored(g, negs).any()
 
 
-def test_split_rejects_bad_ratios_and_tiny_graphs():
-    with pytest.raises(ValueError):
-        random_split(ten_edge_graph(), (0.5, 0.2, 0.2), seed=0)
+def test_split_rejects_tiny_graphs():
     tiny = Graph.from_edges(3, np.array([[0, 1], [1, 2]]))
-    with pytest.raises(ValueError):
-        random_split(tiny, (0.7, 0.1, 0.2), seed=0)
+    with pytest.raises(ValueError, match="too few edges"):
+        random_split(tiny, seed=0)
 
 
 def test_split_save_load_roundtrip(tmp_path):
@@ -334,6 +332,9 @@ def test_split_save_load_roundtrip(tmp_path):
     (lambda b: b["test"].append(b["valid"][0][::-1]), "both valid and test"),
     (lambda b: b["neg"].update(test=[[[[0, 5]]]]), "shape"),
     (lambda b: b["neg"].update(valid=[[0, 5, 6]]), "shape"),
+    (lambda b: b["neg"]["test"].append(b["test"][0]), "test negatives: .* positive"),
+    (lambda b: b["neg"]["valid"].append(b["train"][0][::-1]), "valid negatives: .* positive"),
+    (lambda b: b["neg"].update(test=[[[0, 5], b["valid"][0]]]), "test negatives: .* of the split"),
 ])
 def test_split_load_rejects_bad_files(tmp_path, edit, message):
     path = tmp_path / "split.json"

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from linkgae import heuristics
 from linkgae.evaluation import MetricSpec
 from linkgae.graph import EdgeSplit, Graph
-from linkgae.heuristics import (PAIR_CHUNK, heuristic_eval, score_edges,
+from linkgae.heuristics import (CODE_BUDGET, heuristic_eval, score_edges,
                                 structure_feature_report)
 from tests.conftest import random_graph
 
@@ -114,13 +115,30 @@ def test_empty_pools_keep_their_shape(which, shape):
 
 def test_more_pairs_than_one_chunk_score_like_each_chunk(rng):
     g = random_graph(rng, n_min=80, n_max=80, p=0.2)
-    pairs = rng.integers(0, g.num_nodes, (2 * PAIR_CHUNK + 123, 2))
+    pairs = rng.integers(0, g.num_nodes, (20000, 2))
+    assert g.degrees[pairs].sum() > 2 * CODE_BUDGET  # three chunks or more
     for which in ("cn", "ra"):
         whole = score_edges(g, pairs, which)
-        pieces = [score_edges(g, pairs[s:s + PAIR_CHUNK], which)
-                  for s in range(0, len(pairs), PAIR_CHUNK)]
+        pieces = [score_edges(g, pairs[s:s + 1000], which) for s in range(0, len(pairs), 1000)]
         assert np.array_equal(whole, np.concatenate(pieces))
         assert np.array_equal(whole[-200:], set_oracle(g, pairs[-200:], which))
+
+
+def test_pairs_on_a_hub_are_chunked_by_their_codes(monkeypatch):
+    star = np.stack([np.zeros(1000, dtype=np.int64), np.arange(1, 1001)], axis=1)
+    g = Graph.from_edges(1001, star)
+    sizes = []
+    neighbor_codes = heuristics._neighbor_codes
+
+    def spy(*args):
+        codes = neighbor_codes(*args)
+        sizes.append(len(codes))
+        return codes
+
+    monkeypatch.setattr(heuristics, "_neighbor_codes", spy)
+    for which in ("cn", "aa", "ra"):
+        assert np.array_equal(score_edges(g, star, which), np.zeros(1000))
+    assert max(sizes) <= CODE_BUDGET + 1000
 
 
 def test_symmetry_in_u_v(rng):

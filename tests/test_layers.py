@@ -1,6 +1,6 @@
 """Import layering: every import sits at module level, and the tape and the
-metrics load no other linkgae module. The benchmark's tracer wraps tape ops
-by name, so each name it lists must exist."""
+metrics load no other linkgae module. The benchmark's tracer wraps callables
+by name, so each (owner, attribute) it lists must exist."""
 
 import ast
 import os
@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import linkgae
-from linkgae import engine
+# Every layer is imported, so spans._targets finds each one on the package.
+from linkgae import engine, evaluation, graph, heuristics, model, synth, train  # noqa: F401
 from perfbench import spans
 
 PACKAGE = Path(linkgae.__file__).parent
@@ -37,6 +38,14 @@ def test_leaf_module_loads_no_other_linkgae_module(module):
     assert proc.stdout.split() == ["linkgae", module]
 
 
-@pytest.mark.parametrize("op", spans.TAPE_OPS)
-def test_every_traced_tape_op_is_a_tape_method(op):
-    assert callable(getattr(engine.Tape, op, None)), f"perfbench traces a missing Tape.{op}"
+def _traced(owner, attr):
+    # Tape methods get bare ids (matmul), every other target owner.attr ids.
+    name = attr if owner is engine.Tape else f"{owner.__name__.rpartition('.')[2]}.{attr}"
+    return pytest.param(owner, attr, id=name)
+
+
+@pytest.mark.parametrize("owner, attr", [_traced(owner, attr)
+                                         for owner, attr, _, _ in spans._targets(linkgae)])
+def test_every_traced_tape_op_is_a_tape_method(owner, attr):
+    # Tracer.install reads owner.__dict__[attr], so an inherited name is missing too.
+    assert attr in owner.__dict__, f"perfbench traces a missing {owner.__name__}.{attr}"

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import platform
@@ -16,7 +17,7 @@ from linkgae.engine import Adam, Tape, Tensor
 from linkgae.evaluation import orthogonality_stats
 from linkgae.graph import Graph, random_split
 from linkgae.model import GAEModel, MessageOperators
-from linkgae.train import bce_loss, fit, train_epoch, train_step
+from linkgae.train import bce_loss, fit, train_epoch
 from linkgae.synth import structure_dominant_graph
 from tests.conftest import random_graph
 
@@ -310,23 +311,23 @@ def test_learnable_embeddings_stay_near_orthogonal():
     assert after < 0.15  # drift stays small at desk scale
 
 
-def test_train_step_runs_and_updates():
+def test_train_epoch_runs_and_updates():
     g, split = trainable_graph(seed=11)
     cfg = tiny_cfg(batch_size=16)
     model = GAEModel(g, cfg, seed=11)
     before = model.snapshot()
     g_train = Graph.from_edges(g.num_nodes, split.train_pos)
     ops = MessageOperators.build(g_train, cfg.conv, cfg.np_dtype)
-    rng = np.random.default_rng(0)
-    loss, pairs = train_step(model, split.train_pos[:16], cfg, g_train, ops,
-                             Adam(model.params(), cfg.lr), rng)
-    assert np.isfinite(loss) and pairs == 16 * (1 + cfg.neg_ratio)
+    one_batch = dataclasses.replace(split, train_pos=split.train_pos[:16])
+    loss = train_epoch(model, one_batch, cfg, g_train=g_train, ops=ops,
+                       adam=Adam(model.params(), cfg.lr), rng=np.random.default_rng(0))
+    assert np.isfinite(loss)
     changed = any(not np.array_equal(a, b)
                   for a, b in zip(before, model.snapshot()))
     assert changed
 
 
-def test_train_step_decodes_positives_then_negatives_once(monkeypatch):
+def test_train_epoch_decodes_positives_then_negatives_once(monkeypatch):
     g, split = trainable_graph(seed=11)
     cfg = tiny_cfg(batch_size=16, dropout=0.3)
     model = GAEModel(g, cfg, seed=11)
@@ -340,11 +341,13 @@ def test_train_step_decodes_positives_then_negatives_once(monkeypatch):
         return decode(self, tape, z, edges, rng=rng)
 
     monkeypatch.setattr(GAEModel, "decode", spy)
-    batch = split.train_pos[:16]
-    _, pairs = train_step(model, batch, cfg, g_train, ops, Adam(model.params(), cfg.lr),
-                          np.random.default_rng(0))
-    negs = train.sample_negatives(g_train, cfg.neg_ratio * 16, np.random.default_rng(0))
-    assert len(decoded) == 1 and len(decoded[0]) == pairs
+    one_batch = dataclasses.replace(split, train_pos=split.train_pos[:16])
+    train_epoch(model, one_batch, cfg, g_train=g_train, ops=ops,
+                adam=Adam(model.params(), cfg.lr), rng=np.random.default_rng(0))
+    rng = np.random.default_rng(0)
+    batch = one_batch.train_pos[rng.permutation(16)]
+    negs = train.sample_negatives(g_train, cfg.neg_ratio * 16, rng)
+    assert len(decoded) == 1 and len(decoded[0]) == 16 * (1 + cfg.neg_ratio)
     assert np.array_equal(decoded[0], np.concatenate([batch, negs]))
 
 
