@@ -6,8 +6,8 @@ replays the recorded closures in reverse order. An Adam optimizer rounds
 out the module; the finite-difference gradient checks live in ``checks``.
 
 ``Tape.dense_block`` is one MLP layer, ``dropout(relu(h @ w + b)) (+ h0)``,
-as one node: it computes in place on one buffer and saves only ``h``, the
-1-byte ``pre > 0`` mask and the 1-byte dropout mask for backward, where the
+as one node: it computes in place on one buffer and saves only ``h`` and
+one 1-byte mask (``pre > 0`` and kept by dropout) for backward, where the
 composed ops would keep five (rows x width) arrays alive.
 
 All ops keep a deterministic accumulation order, so two identical runs
@@ -104,7 +104,7 @@ def _left_grad(up: np.ndarray, b: np.ndarray) -> np.ndarray:
     """d(a @ b)/da applied to ``up``. For a width-1 output this is an outer
     product, not a k=1 GEMM; + 0.0 turns -0.0 into the +0.0 of the GEMM's
     zero-started sum."""
-    return up * b.T + 0.0 if up.shape[1] == 1 else up @ b.T
+    return np.add(g := up * b.T, 0.0, out=g) if up.shape[1] == 1 else up @ b.T
 
 
 class Tape:
@@ -291,8 +291,9 @@ class Tape:
         Values and gradients equal those of the composed ``matmul``, ``add``,
         ``relu``, ``dropout`` and ``add`` to the bit: forward runs the same
         elementwise steps in place on the product's buffer, and backward the
-        composed closures' steps in their order. A recorded node saves ``h``,
-        the 1-byte ``pre > 0`` mask and the 1-byte dropout mask.
+        composed closures' steps in their order, with the 0/1 ``pre > 0`` and
+        dropout masks merged, which keeps the bits unless ``up * scale``
+        overflows. A recorded node saves ``h`` and that one 1-byte mask.
         """
         out_shape = (h.shape[0], w.shape[1])
         if h.shape[1] != w.shape[0]:
@@ -308,21 +309,20 @@ class Tape:
         val += b.value
         keep = val > 0.0 if saves else None
         np.maximum(val, 0.0, out=val)
-        mask = scale = None
+        scale = None
         if rng is not None and t > 0:
             mask, scale = _dropout_mask(out_shape, val.dtype, t, rng)
             val *= mask
             val *= scale
+            if saves:
+                keep &= mask
         if h0 is not None:
             val += h0.value
 
         def bwd(up):
-            if mask is None:
-                g = up * keep
-            else:
-                g = up * mask
+            g = up * keep
+            if scale is not None:
                 g *= scale
-                g *= keep
             if h0 is not None and h0.tracked:
                 # up is not read again, so h0 may keep it as its buffer; when
                 # h is h0 (a first layer), h0 still gets up before g @ w.T.

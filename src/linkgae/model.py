@@ -27,16 +27,18 @@ def orthogonal_rows(n: int, d: int, rng: np.random.Generator,
                     dtype=np.float64) -> np.ndarray:
     """n unit rows in R^d, exactly orthonormal when n <= d.
 
-    QR of a seeded Gaussian; for n > d the rows of the orthonormal-column
-    factor are rescaled to unit norm, giving near-orthogonal rows.
+    The Q factor, R's diagonal positive, of a seeded Gaussian: Householder
+    QR for n <= d; for n > d CholeskyQR2 (twice q <- q R^-1, R^T R = q^T q),
+    with rows then rescaled to unit norm, giving near-orthogonal rows.
     """
     if n <= d:
         q, r = np.linalg.qr(rng.standard_normal((d, n)))
         q = q * np.sign(np.diag(r))
         return np.ascontiguousarray(q.T, dtype=dtype)
-    q, r = np.linalg.qr(rng.standard_normal((n, d)))
-    q = q * np.sign(np.diag(r))
-    q = q / np.linalg.norm(q, axis=1, keepdims=True)
+    q = rng.standard_normal((n, d))
+    for _ in range(2):
+        q = q @ np.linalg.inv(np.linalg.cholesky(q.T @ q).T)
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
     return q.astype(dtype)
 
 

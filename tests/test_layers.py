@@ -1,6 +1,7 @@
-"""Import layering: every import sits at module level, and the tape and the
-metrics load no other linkgae module. The benchmark's tracer wraps callables
-by name, so each (owner, attribute) it lists must exist."""
+"""Import layering: every import sits at module level, the tape and the
+metrics load no other linkgae module, and nothing loads ``scipy.linalg``.
+The benchmark's tracer wraps callables by name, so each (owner, attribute)
+it lists must exist."""
 
 import ast
 import os
@@ -36,6 +37,25 @@ def test_leaf_module_loads_no_other_linkgae_module(module):
                           env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
                           check=True, timeout=60)
     assert proc.stdout.split() == ["linkgae", module]
+
+
+def test_building_a_model_loads_no_second_blas_runtime():
+    # scipy.linalg loads scipy's own bundled OpenBLAS next to numpy's, and its
+    # buffers stay resident: a solve_triangular init cost 9 MB of peak RSS on
+    # the train-masked benchmark and 36 MB on eval-rank. Dense linear algebra
+    # goes through numpy.linalg.
+    code = ("import sys\n"
+            "import linkgae.checks, linkgae.cli\n"
+            "from linkgae.config import ModelConfig\n"
+            "from linkgae.model import GAEModel\n"
+            "from linkgae.synth import structure_dominant_graph\n"
+            "GAEModel(structure_dominant_graph(400), "
+            "ModelConfig(input_mode='learnable-orthogonal'))\n"
+            "print('scipy.linalg' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+                          check=True, timeout=60)
+    assert proc.stdout.split() == ["False"]
 
 
 def _traced(owner, attr):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,37 @@ def test_large_orthogonal_init_matches_expected_coherence():
     table = orthogonal_rows(4267, 1024, rng)
     mean, _ = orthogonality_stats(table, sample_pairs=100_000)
     assert 0.015 < mean < 0.045  # about 0.03 at this width
+
+
+def _householder_rows(n, d, rng):
+    # The reference for the tall branch: Householder QR, R's diagonal made
+    # positive, rows rescaled to unit norm.
+    q, r = np.linalg.qr(rng.standard_normal((n, d)))
+    q = q * np.sign(np.diag(r))
+    return q / np.linalg.norm(q, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("n, d", [(129, 128), (300, 32), (1000, 64)])
+def test_tall_orthogonal_rows_match_householder_qr(n, d):
+    # (129, 128) is n = d + 1, the worst-conditioned tall draw.
+    for seed in range(5):
+        table = orthogonal_rows(n, d, np.random.default_rng(seed))
+        want = _householder_rows(n, d, np.random.default_rng(seed))
+        assert np.abs(table - want).max() <= 1e-13
+        assert np.abs(np.linalg.norm(table, axis=1) - 1.0).max() <= 1e-12
+
+
+def test_tall_orthogonal_rows_peak_at_about_two_tables():
+    # The float64 draw and one n x d product live at once, then the cast;
+    # Householder QR held about three.
+    n, d = 20000, 64
+    tracemalloc.start()
+    try:
+        orthogonal_rows(n, d, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * n * d * 8
 
 
 def test_fixed_orthogonal_excluded_from_params():
