@@ -20,7 +20,7 @@ from .config import CHOICES, ModelConfig
 from .engine import Tape, Tensor
 from .evaluation import orthogonality_stats
 from .graph import Graph, mean_adjacency, normalize
-from .model import Encoder, GAEModel, MessageOperators, orthogonal_rows
+from .model import GAEModel, MessageOperators, orthogonal_rows
 from .train import batch_loss
 
 
@@ -148,8 +148,9 @@ def gradient_check_all() -> dict[str, float]:
 def verify_cn_equivalence(g: Graph, k: int, d: int | None = None) -> float:
     """Max |z_i . z_j - (A_norm^{2k})_{ij}| for the identity-weight linear encoder.
 
-    Runs the real encoder on exactly orthonormal inputs and compares every
-    pairwise dot product against the dense matrix-power oracle.
+    Embeds with a fixed-orthogonal model (exactly orthonormal inputs) whose
+    encoder weights are identities and compares every pairwise dot product
+    against the dense matrix-power oracle.
     """
     n = g.num_nodes
     if n > 512:
@@ -157,14 +158,12 @@ def verify_cn_equivalence(g: Graph, k: int, d: int | None = None) -> float:
     d = n if d is None else d
     if n > d:
         raise ValueError(f"exact orthonormal inputs need d >= num_nodes ({n})")
-    rng = np.random.default_rng(0)
-    z0 = Tensor(orthogonal_rows(n, d, rng))
-    enc = Encoder(ModelConfig(conv="gcn", mpnn_layers=k, hidden_dim=d,
-                              encoder_residual=False, dtype="float64"), rng)
-    for layer in enc.layers:
-        layer["w"].value = np.eye(d)  # each layer a pure propagation step
-    ops = MessageOperators.build(g, "gcn", np.float64)
-    z = enc.forward(Tape(record=False), ops, z0).value
+    model = GAEModel(g, ModelConfig(input_mode="fixed-orthogonal", conv="gcn",
+                                    mpnn_layers=k, hidden_dim=d, encoder_residual=False,
+                                    dtype="float64"), seed=0)
+    for l in range(k):
+        model.tensors[f"enc.{l}.w"].value = np.eye(d)  # each layer a pure propagation step
+    z = model.embed(MessageOperators.build(g, "gcn", np.float64))
     oracle = np.linalg.matrix_power(normalize(g).toarray(), 2 * k)
     return float(np.max(np.abs(z @ z.T - oracle)))
 
@@ -253,8 +252,8 @@ def model_gradient_check(conv: str = "gcn", seed: int = 0,
 
 
 def unrolled_encoder_deviation() -> float:
-    """Max |z| difference between ``Encoder.forward_propagated`` and the
-    layer-wise loop, in float64.
+    """Max |z| difference between ``GAEModel.encode`` on raw features (the
+    propagated-feature path) and ``GAEModel.encode_layers``, in float64.
 
     Covers gcn and sage, 1-4 layers, the residual on and off, and the plain
     and a masked operator, each with fresh Gaussian weights scaled by
@@ -274,7 +273,8 @@ def unrolled_encoder_deviation() -> float:
         for p in model.params():
             p.value = rng.standard_normal(p.shape) / np.sqrt(p.shape[0])
         tape = Tape(record=False)
-        looped = model.encoder.forward(tape, ops, model.input.forward(tape))
+        z0 = tape.matmul(model.features, model.tensors["input.w_proj"])
+        looped = model.encode_layers(tape, ops, z0)
         unrolled = model.encode(tape, ops)
         worst = max(worst, float(np.max(np.abs(unrolled.value - looped.value))))
     return worst

@@ -85,13 +85,6 @@ def _train_splits(g: Graph, cfg: ModelConfig, seeds: list[int],
     return splits
 
 
-def _out_dir(base: str, dataset: str, cfg: ModelConfig) -> Path:
-    stamp = time.strftime("%Y%m%d-%H%M%S")
-    out = Path(base) / Path(dataset).name / f"{stamp}-{config_hash(cfg)}"
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _host_record() -> dict:
     """What trained numbers depend on besides the seed and the config: the
     numpy, scipy and BLAS builds, the BLAS thread setting and the usable CPUs."""
@@ -103,16 +96,31 @@ def _host_record() -> dict:
             else os.cpu_count()}
 
 
+def _out_dir(base: str, dataset: str, cfg: ModelConfig, seeds: list[int]) -> Path:
+    """A new run directory ``<timestamp>-<confighash>`` holding the run's
+    ``config.json``. A run started in the same second as another of its
+    config takes the first free suffix ``-1``, ``-2``, ...."""
+    stem = Path(base) / Path(dataset).name / f"{time.strftime('%Y%m%d-%H%M%S')}-{config_hash(cfg)}"
+    out, i = stem, 0
+    while True:
+        try:
+            out.mkdir(parents=True)
+            break
+        except FileExistsError:
+            i += 1
+            out = stem.with_name(f"{stem.name}-{i}")
+    (out / "config.json").write_text(json.dumps({
+        "dataset": dataset, "config": cfg.to_dict(), "config_hash": config_hash(cfg),
+        "seeds": seeds, "version": __version__, "host": _host_record()}, indent=2))
+    return out
+
+
 def cmd_train(args) -> int:
     g = resolve_graph(args.dataset, args.data_dir)
     cfg = resolve_config(args)
     seeds = list(range(args.seed, args.seed + args.seeds))
     splits = _train_splits(g, cfg, seeds, args.split_file)
-    out = _out_dir(args.out_dir, args.dataset, cfg)
-    (out / "config.json").write_text(json.dumps({
-        "dataset": args.dataset, "config": cfg.to_dict(),
-        "config_hash": config_hash(cfg), "seeds": seeds,
-        "version": __version__, "host": _host_record()}, indent=2))
+    out = _out_dir(args.out_dir, args.dataset, cfg, seeds)
     t0 = time.perf_counter()
     per_seed = {}
     for seed, split in zip(seeds, splits):
@@ -166,8 +174,9 @@ SWEEP_AXES = ("mpnn_layers", "mlp_layers", "hidden_dim")
 
 def cmd_grid(args) -> int:
     """``ablate`` and ``sweep``: one fit per (variant, seed), one CSV row per
-    variant. An ablation's variants are ``ABLATION_AXES[axis]``; a sweep's
-    set ``axis`` to each of ``--values``."""
+    variant, in a run directory with the base config's ``config.json``. An
+    ablation's variants are ``ABLATION_AXES[axis]``; a sweep's set ``axis``
+    to each of ``--values``."""
     g = resolve_graph(args.dataset, args.data_dir)
     cfg = resolve_config(args)
     if args.command == "ablate":
@@ -182,6 +191,7 @@ def cmd_grid(args) -> int:
         stem, label, prefix = "sweep", "value", f"{args.axis}="
     seeds = list(range(args.seed, args.seed + args.seeds))
     splits = _train_splits(g, cfg, seeds, None)
+    path = _out_dir(args.out_dir, args.dataset, cfg, seeds) / f"{stem}-{args.axis}.csv"
     lines = [",".join([label] + [f"seed{s}" for s in seeds] + ["mean", "std"])]
     for name, delta in variants:
         vcfg = cfg.replace(**delta)
@@ -190,7 +200,6 @@ def cmd_grid(args) -> int:
         mean, std = float(np.mean(vals)), float(np.std(vals))
         lines.append(",".join([name] + [repr(v) for v in vals] + [repr(mean), repr(std)]))
         print(f"{prefix}{name}: {mean:.4f} +- {std:.4f}")
-    path = _out_dir(args.out_dir, args.dataset, cfg) / f"{stem}-{args.axis}.csv"
     path.write_text("\n".join(lines) + "\n")
     print(f"-> {path}")
     return 0

@@ -26,9 +26,9 @@ from scipy.special import expit
 class Tensor:
     """A dense 2-D value with an optional same-shape gradient buffer."""
 
-    __slots__ = ("value", "grad", "tracked", "name")
+    __slots__ = ("value", "grad", "tracked")
 
-    def __init__(self, value, param: bool = False, name: str | None = None):
+    def __init__(self, value, param: bool = False):
         arr = np.asarray(value)
         if arr.ndim != 2:
             raise ValueError(f"tensors are 2-D, got shape {arr.shape}")
@@ -39,7 +39,6 @@ class Tensor:
         # Tracked tensors (parameters, and op outputs of a tracked parent)
         # participate in backward; constants do not.
         self.tracked = param
-        self.name = name
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -190,6 +190,35 @@ def test_sweep_single_value_single_row(tmp_path):
     assert lines[1].startswith("2,")
 
 
+@pytest.mark.parametrize("argv, csv_name", [
+    (["ablate", "--axis", "linearity"], "ablation-linearity.csv"),
+    (["sweep", "--axis", "mpnn_layers", "--values", "1"], "sweep-mpnn_layers.csv"),
+], ids=["ablate", "sweep"])
+def test_grid_records_its_config_and_host(argv, csv_name, tmp_path):
+    out = tmp_path / "runs"
+    rc = run(argv[:1] + ["--dataset", TINY, "--seeds", "2", "--set", FAST,
+                         "--out-dir", str(out)] + argv[1:])
+    assert rc == 0
+    run_dir = next((out / TINY).iterdir())
+    assert (run_dir / csv_name).exists()
+    record = json.loads((run_dir / "config.json").read_text())
+    assert record["seeds"] == [0, 1] and record["config"]["hidden_dim"] == 16
+    assert record["host"]["numpy"] == np.__version__
+
+
+def test_runs_started_in_one_second_get_their_own_directories(tmp_path, monkeypatch):
+    from linkgae import cli
+    from linkgae.config import ModelConfig
+
+    monkeypatch.setattr(cli.time, "strftime", lambda fmt: "20260101-000000")
+    cfg = ModelConfig()
+    dirs = [cli._out_dir(str(tmp_path), TINY, cfg, [seed]) for seed in (0, 1, 2)]
+    assert len(set(dirs)) == 3
+    assert [d.name for d in dirs[1:]] == [f"{dirs[0].name}-1", f"{dirs[0].name}-2"]
+    assert [json.loads((d / "config.json").read_text())["seeds"] for d in dirs] == [
+        [0], [1], [2]]
+
+
 def test_grid_draws_one_split_per_seed(tmp_path, monkeypatch):
     from linkgae import cli
 

@@ -3,11 +3,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from linkgae.config import ModelConfig
-from linkgae.engine import Tape
-from linkgae.graph import Graph, SparseOperator, normalize
-from linkgae.model import (CONV_OPERATORS, Decoder, Encoder, GAEModel,
-                           InputRepresentation, MessageOperators, orthogonal_rows)
+from scipy.special import expit
+
+from linkgae.config import CHOICES, ModelConfig
+from linkgae.engine import Tape, Tensor
+from linkgae.graph import Graph, SparseOperator
+from linkgae.model import (CONV_OPERATORS, GAEModel, MessageOperators, _glorot,
+                           orthogonal_rows)
 from linkgae.evaluation import orthogonality_stats
 from tests.conftest import random_graph
 
@@ -16,26 +18,84 @@ def p3(features=None) -> Graph:
     return Graph.from_edges(3, np.array([[0, 1], [1, 2]]), features)
 
 
+def small_cfg(**kw) -> ModelConfig:
+    base = dict(input_mode="learnable-orthogonal", mpnn_layers=2, hidden_dim=16,
+                mlp_layers=2, batch_size=64, dropout=0.0, dtype="float64",
+                epochs=5, metric="hits@1")
+    base.update(kw)
+    return ModelConfig(**base)
+
+
+def gcn_ops(g: Graph) -> MessageOperators:
+    return MessageOperators.build(g, "gcn", np.float64)
+
+
+# -- parameter table -----------------------------------------------------------
+
+LAYER_NAMES = {"gcn": ["w"], "sage": ["w_self", "w_neigh"],
+               "gin": ["eps", "w1", "b1", "w2", "b2"]}
+
+
+@pytest.mark.parametrize("decoder", ["dot", "mlp"])
+@pytest.mark.parametrize("conv", ["gcn", "sage", "gin"])
+@pytest.mark.parametrize("mode", CHOICES["input_mode"])
+def test_tensors_are_drawn_in_table_order(mode, conv, decoder, rng):
+    # Trained bits depend on the draw order: the input, each encoder layer's
+    # weights, the decoder layers' weights, then the head.
+    g = random_graph(rng, n_min=6, n_max=10, features=5)
+    n, d, seed = g.num_nodes, 4, 3
+    model = GAEModel(g, small_cfg(input_mode=mode, conv=conv, decoder=decoder,
+                                  hidden_dim=d, dtype="float32"), seed=seed)
+    draw = np.random.default_rng(seed)
+    want = {}
+    if mode == "raw":
+        want["input.w_proj"] = _glorot(5, d, draw, np.float64)
+    elif mode == "all-ones":
+        want["input.table"] = np.ones((n, d))
+    elif mode == "random-uniform":
+        want["input.table"] = draw.uniform(-1.0, 1.0, (n, d))
+    else:
+        want["input.table"] = orthogonal_rows(n, d, draw)
+    for l in range(2):
+        for name in LAYER_NAMES[conv]:
+            want[f"enc.{l}.{name}"] = (np.zeros((1, 1)) if name == "eps" else
+                                       np.zeros((1, d)) if name[0] == "b" else
+                                       orthogonal_rows(d, d, draw))
+    if decoder == "mlp":
+        for l in range(2):
+            want[f"dec.{l}.w"] = orthogonal_rows(d, d, draw)
+            want[f"dec.{l}.b"] = np.zeros((1, d))
+        want["dec.head.w"] = _glorot(d, 1, draw, np.float64)
+        want["dec.head.b"] = np.zeros((1, 1))
+    assert list(model.tensors) == list(want)
+    for name, t in model.tensors.items():
+        assert t.dtype == np.float32, name
+        assert np.array_equal(t.value, want[name].astype(np.float32)), name
+    frozen = ["input.table"] if mode == "fixed-orthogonal" else []
+    assert list(model.named_params()) == [k for k in want if k not in frozen]
+    assert [id(p) for p in model.params()] == [id(model.tensors[k])
+                                               for k in model.named_params()]
+
+
 # -- input representations -----------------------------------------------------
 
 def test_orthogonal_gram_is_identity_when_n_below_d():
     g = Graph.from_edges(4, np.array([[0, 1], [2, 3]]))
-    rep = InputRepresentation(g, "learnable-orthogonal", 8, np.random.default_rng(0))
-    gram = rep.table.value @ rep.table.value.T
+    table = GAEModel(g, small_cfg(hidden_dim=8)).tensors["input.table"]
+    gram = table.value @ table.value.T
     assert np.allclose(gram, np.eye(4), atol=1e-6)
-    assert rep.table.tracked
+    assert table.tracked
 
 
 def test_all_ones_table():
-    g = p3()
-    rep = InputRepresentation(g, "all-ones", 3, np.random.default_rng(0))
-    assert np.array_equal(rep.table.value, np.ones((3, 3)))
+    model = GAEModel(p3(), small_cfg(input_mode="all-ones", hidden_dim=3))
+    assert np.array_equal(model.tensors["input.table"].value, np.ones((3, 3)))
 
 
 def test_random_uniform_in_range():
-    g = p3()
-    rep = InputRepresentation(g, "random-uniform", 64, np.random.default_rng(1))
-    assert rep.table.value.min() >= -1.0 and rep.table.value.max() <= 1.0
+    model = GAEModel(p3(), small_cfg(input_mode="random-uniform", hidden_dim=64), seed=1)
+    table = model.tensors["input.table"].value
+    assert table.min() >= -1.0 and table.max() <= 1.0
 
 
 def test_wide_orthogonal_rows_unit_norm_and_low_coherence():
@@ -86,93 +146,65 @@ def test_tall_orthogonal_rows_peak_at_about_two_tables():
 
 
 def test_fixed_orthogonal_excluded_from_params():
-    g = p3()
-    rep = InputRepresentation(g, "fixed-orthogonal", 8, np.random.default_rng(0))
-    assert rep.params() == []
-    assert not rep.table.tracked
+    model = GAEModel(p3(), small_cfg(input_mode="fixed-orthogonal", hidden_dim=8))
+    table = model.tensors["input.table"]
+    assert not table.tracked
+    assert "input.table" not in model.named_params()
+    assert all(p is not table for p in model.params())
 
 
 def test_raw_mode_requires_features():
     with pytest.raises(ValueError, match="all-ones"):
-        InputRepresentation(p3(), "raw", 8, np.random.default_rng(0))
+        GAEModel(p3(), small_cfg(input_mode="raw", hidden_dim=8))
 
 
 def test_raw_mode_projects_to_hidden_width():
     g = p3(features=np.eye(3))
-    rep = InputRepresentation(g, "raw", 8, np.random.default_rng(0))
-    tape = Tape()
-    z0 = rep.forward(tape)
-    assert z0.shape == (3, 8)
-    assert [p.name for p in rep.params()] == ["input.w_proj"]
+    model = GAEModel(g, small_cfg(input_mode="raw", mpnn_layers=1, hidden_dim=8))
+    model.tensors["enc.0.w"].value[:] = 0.0  # z = z0 through the residual
+    z = model.embed(gcn_ops(g))
+    assert z.shape == (3, 8)
+    assert np.allclose(z, model.tensors["input.w_proj"].value)  # z0 = I W_proj
+    assert not model.features.tracked
+    assert [k for k in model.named_params() if k.startswith("input.")] == ["input.w_proj"]
 
 
 def test_unknown_mode_rejected():
-    with pytest.raises(ValueError):
-        InputRepresentation(p3(), "onehot", 8, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="input_mode"):
+        small_cfg(input_mode="onehot")
 
 
 # -- encoder -----------------------------------------------------------------
 
-def _identity_encoder(g, k, d, residual=False, linear=True):
-    rng = np.random.default_rng(0)
-    enc = Encoder(ModelConfig(conv="gcn", mpnn_layers=k, hidden_dim=d,
-                              linear_encoder=linear, encoder_residual=residual), rng)
-    for layer in enc.layers:
-        layer["w"].value = np.eye(d)
-    return enc
-
-
-def test_identity_linear_encoder_reproduces_matrix_powers(rng):
-    # dot products of the k-layer identity-weight linear encoder equal
-    # (A_norm^{2k})_{ij} on exactly orthonormal inputs
-    for _ in range(10):
-        g = random_graph(rng, n_min=4, n_max=20)
-        n = g.num_nodes
-        rep = InputRepresentation(g, "fixed-orthogonal", n, np.random.default_rng(1))
-        ops = MessageOperators.build(g, "gcn", np.float64)
-        dense = normalize(g).toarray()
-        for k in (1, 2, 3):
-            enc = _identity_encoder(g, k, n)
-            z = enc.forward(Tape(record=False), ops, rep.forward(Tape(record=False)))
-            oracle = np.linalg.matrix_power(dense, 2 * k)
-            assert np.max(np.abs(z.value @ z.value.T - oracle)) < 1e-9
+def _identity_model(g, k, d, residual=False, decoder="mlp"):
+    model = GAEModel(g, small_cfg(input_mode="fixed-orthogonal", mpnn_layers=k,
+                                  hidden_dim=d, encoder_residual=residual,
+                                  decoder=decoder))
+    for l in range(k):
+        model.tensors[f"enc.{l}.w"].value = np.eye(d)
+    return model
 
 
 def test_p3_identity_encoder_logit_is_one_sixth():
     g = p3()
-    rep = InputRepresentation(g, "fixed-orthogonal", 3, np.random.default_rng(0))
-    enc = _identity_encoder(g, 1, 3)
-    ops = MessageOperators.build(g, "gcn", np.float64)
-    tape = Tape(record=False)
-    z = enc.forward(tape, ops, rep.forward(tape))
-    dec = Decoder(ModelConfig(decoder="dot", hidden_dim=3), np.random.default_rng(0))
-    logit = dec.forward(tape, z, np.array([[0, 2]]))
-    assert abs(logit.item() - 1.0 / 6.0) < 1e-12
+    model = _identity_model(g, 1, 3, decoder="dot")
+    logit = model.score_edges(gcn_ops(g), np.array([[0, 2]]))
+    assert abs(logit[0] - 1.0 / 6.0) < 1e-12
 
 
 def test_edgeless_graph_residual_doubles_input():
     g = Graph.from_edges(4, np.empty((0, 2), dtype=np.int64))
-    rep = InputRepresentation(g, "fixed-orthogonal", 4, np.random.default_rng(0))
-    enc = _identity_encoder(g, 1, 4, residual=True)
-    ops = MessageOperators.build(g, "gcn", np.float64)
-    tape = Tape(record=False)
-    z0 = rep.forward(tape)
-    z = enc.forward(tape, ops, z0)
-    assert np.allclose(z.value, 2.0 * z0.value, atol=1e-12)
+    model = _identity_model(g, 1, 4, residual=True)
+    z0 = model.tensors["input.table"].value
+    assert np.allclose(model.embed(gcn_ops(g)), 2.0 * z0, atol=1e-12)
 
 
 def test_residual_survives_zeroed_conv_weights(rng):
     g = random_graph(rng, n_min=6, n_max=12)
-    enc = Encoder(ModelConfig(mpnn_layers=3, hidden_dim=8, encoder_residual=True),
-                  np.random.default_rng(0))
-    for layer in enc.layers:
-        layer["w"].value[:] = 0.0
-    rep = InputRepresentation(g, "learnable-orthogonal", 8, np.random.default_rng(2))
-    ops = MessageOperators.build(g, "gcn", np.float64)
-    tape = Tape(record=False)
-    z0 = rep.forward(tape)
-    z = enc.forward(tape, ops, z0)
-    assert np.array_equal(z.value, z0.value)
+    model = GAEModel(g, small_cfg(mpnn_layers=3, hidden_dim=8, encoder_residual=True))
+    for l in range(3):
+        model.tensors[f"enc.{l}.w"].value[:] = 0.0
+    assert np.array_equal(model.embed(gcn_ops(g)), model.tensors["input.table"].value)
 
 
 def test_permutation_equivariance(rng):
@@ -181,83 +213,66 @@ def test_permutation_equivariance(rng):
     perm = rng.permutation(n)
     edges = g.edge_list()
     g2 = Graph.from_edges(n, perm[edges])
-    rep = InputRepresentation(g, "fixed-orthogonal", n, np.random.default_rng(5))
-    table2 = np.empty_like(rep.table.value)
-    table2[perm] = rep.table.value  # node u keeps its signature after relabel
-    enc = Encoder(ModelConfig(mpnn_layers=2, hidden_dim=n), np.random.default_rng(1))
-    from linkgae.engine import Tensor
-    z1 = enc.forward(Tape(record=False), MessageOperators.build(g, "gcn", np.float64),
-                     Tensor(rep.table.value))
-    z2 = enc.forward(Tape(record=False), MessageOperators.build(g2, "gcn", np.float64),
-                     Tensor(table2))
+    model = GAEModel(g, small_cfg(input_mode="fixed-orthogonal", hidden_dim=n), seed=5)
+    table = model.tensors["input.table"].value
+    table2 = np.empty_like(table)
+    table2[perm] = table  # node u keeps its signature after relabel
+    tape = Tape(record=False)
+    z1 = model.encode_layers(tape, gcn_ops(g), Tensor(table))
+    z2 = model.encode_layers(tape, gcn_ops(g2), Tensor(table2))
     assert np.max(np.abs(z2.value[perm] - z1.value)) < 1e-9
 
 
 def test_nonlinear_variant_changes_output():
     g = p3()
-    cfg = ModelConfig(mpnn_layers=2, hidden_dim=4, linear_encoder=True)
-    rng_a, rng_b = np.random.default_rng(9), np.random.default_rng(9)
-    enc_lin = Encoder(cfg, rng_a)
-    enc_nl = Encoder(cfg.replace(linear_encoder=False), rng_b)
-    rep = InputRepresentation(g, "fixed-orthogonal", 4, np.random.default_rng(0))
-    ops = MessageOperators.build(g, "gcn", np.float64)
-    z_lin = enc_lin.forward(Tape(record=False), ops, rep.forward(Tape(record=False)))
-    z_nl = enc_nl.forward(Tape(record=False), ops, rep.forward(Tape(record=False)))
-    assert not np.allclose(z_lin.value, z_nl.value)
+    cfg = small_cfg(input_mode="fixed-orthogonal", hidden_dim=4, linear_encoder=True)
+    z_lin = GAEModel(g, cfg, seed=9).embed(gcn_ops(g))
+    z_nl = GAEModel(g, cfg.replace(linear_encoder=False), seed=9).embed(gcn_ops(g))
+    assert not np.allclose(z_lin, z_nl)
 
 
 def test_relu_is_identity_on_positive_preactivations():
     g = p3()
-    cfg = ModelConfig(mpnn_layers=2, hidden_dim=4, linear_encoder=True,
-                      encoder_residual=False)
-    enc_lin = Encoder(cfg, np.random.default_rng(2))
-    enc_nl = Encoder(cfg.replace(linear_encoder=False), np.random.default_rng(3))
-    for la, lb in zip(enc_lin.layers, enc_nl.layers):
-        w = np.abs(la["w"].value)
-        la["w"].value = w
-        lb["w"].value = w.copy()
-    from linkgae.engine import Tensor
+    cfg = small_cfg(hidden_dim=4, linear_encoder=True, encoder_residual=False)
+    lin = GAEModel(g, cfg, seed=2)
+    nl = GAEModel(g, cfg.replace(linear_encoder=False), seed=3)
+    for l in range(2):
+        w = np.abs(lin.tensors[f"enc.{l}.w"].value)
+        lin.tensors[f"enc.{l}.w"].value = w
+        nl.tensors[f"enc.{l}.w"].value = w.copy()
     z0 = Tensor(np.full((3, 4), 0.7))
-    ops = MessageOperators.build(g, "gcn", np.float64)
-    z_lin = enc_lin.forward(Tape(record=False), ops, z0)
-    z_nl = enc_nl.forward(Tape(record=False), ops, z0)
+    z_lin = lin.encode_layers(Tape(record=False), gcn_ops(g), z0)
+    z_nl = nl.encode_layers(Tape(record=False), gcn_ops(g), z0)
     assert np.array_equal(z_lin.value, z_nl.value)
 
 
 def test_sage_and_gin_encoders_run_and_differ(rng):
     g = random_graph(rng, n_min=8, n_max=12)
-    rep = InputRepresentation(g, "learnable-orthogonal", 16, np.random.default_rng(0))
     outs = {}
-    for conv in ("gcn", "sage", "gin"):
-        enc = Encoder(ModelConfig(conv=conv, mpnn_layers=2, hidden_dim=16),
-                      np.random.default_rng(4))
-        ops = MessageOperators.build(g, conv, np.float64)
-        tape = Tape(record=False)
-        outs[conv] = enc.forward(tape, ops, rep.forward(tape)).value
+    for conv in ("gcn", "sage", "gin"):  # one seed, so one input table
+        model = GAEModel(g, small_cfg(conv=conv), seed=4)
+        outs[conv] = model.embed(MessageOperators.build(g, conv, np.float64))
     assert not np.allclose(outs["gcn"], outs["sage"])
     assert not np.allclose(outs["gcn"], outs["gin"])
 
 
 def test_encoder_l2_normalization_flag(rng):
     g = random_graph(rng, n_min=6, n_max=10)
-    rep = InputRepresentation(g, "learnable-orthogonal", 8, np.random.default_rng(0))
-    enc = Encoder(ModelConfig(mpnn_layers=2, hidden_dim=8, normalize_embeddings=True),
-                  np.random.default_rng(0))
-    tape = Tape(record=False)
-    z = enc.forward(tape, MessageOperators.build(g, "gcn", np.float64), rep.forward(tape))
-    assert np.allclose(np.linalg.norm(z.value, axis=1), 1.0, atol=1e-12)
+    model = GAEModel(g, small_cfg(hidden_dim=8, normalize_embeddings=True))
+    z = model.embed(gcn_ops(g))
+    assert np.allclose(np.linalg.norm(z, axis=1), 1.0, atol=1e-12)
 
 
 # -- propagated-feature encoder ------------------------------------------------
 
 def _loss_and_grads(model, tape, z, weights):
-    from linkgae.engine import Tensor
     loss = tape.sum(tape.hadamard(z, Tensor(weights)))
-    encoder_params = model.input.params() + model.encoder.params()
-    for p in encoder_params:
+    encoder_params = {k: p for k, p in model.named_params().items()
+                      if not k.startswith("dec.")}
+    for p in encoder_params.values():
         p.grad = None
     tape.backward(loss)
-    return {p.name: p.grad.copy() for p in encoder_params}
+    return {k: p.grad.copy() for k, p in encoder_params.items()}
 
 
 @pytest.mark.parametrize("conv", ["gcn", "sage"])
@@ -279,7 +294,8 @@ def test_propagated_features_equal_the_layer_wise_loop(conv, masked, rng):
                 for p in model.params():
                     p.value = rng.standard_normal(p.shape) / np.sqrt(p.shape[0])
                 tape = Tape()
-                looped = model.encoder.forward(tape, ops, model.input.forward(tape))
+                z0 = tape.matmul(model.features, model.tensors["input.w_proj"])
+                looped = model.encode_layers(tape, ops, z0)
                 grads_looped = _loss_and_grads(model, tape, looped, weights)
                 tape = Tape()
                 unrolled = model.encode(tape, ops)
@@ -330,7 +346,7 @@ def test_encodes_on_one_operator_propagate_the_features_once(conv, rng, monkeypa
     second = model.embed(ops)
     assert len(calls) == 3
     assert first.tobytes() == second.tobytes()
-    cached = model.encoder._propagated[2]
+    cached = model._propagated[2]
     assert not cached.flags.writeable
     with pytest.raises(ValueError):
         cached[0, 0] = 1.0
@@ -344,10 +360,10 @@ def test_a_new_operator_or_new_features_rebuild_the_propagated_entry(rng, monkey
     calls = _matvec_calls(monkeypatch)
     masked = ops.masked(g.edge_list()[:4])
     z_masked = model.embed(masked)
-    assert len(calls) == 2 and model.encoder._propagated[0] is masked.op
-    model.input.raw.value = model.input.raw.value + 1.0
+    assert len(calls) == 2 and model._propagated[0] is masked.op
+    model.features.value = model.features.value + 1.0
     z_shifted = model.embed(masked)
-    assert len(calls) == 4 and model.encoder._propagated[1] is model.input.raw.value
+    assert len(calls) == 4 and model._propagated[1] is model.features.value
     assert not np.array_equal(z_shifted, z_masked)
     model.embed(masked)
     assert len(calls) == 4
@@ -371,36 +387,31 @@ def test_other_encoders_keep_the_layer_wise_loop(change, rng, monkeypatch):
 # -- decoder -----------------------------------------------------------------
 
 def test_dot_decoder_unit_and_orthogonal_pairs():
-    from linkgae.engine import Tensor
     z = Tensor(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
-    dec = Decoder(ModelConfig(decoder="dot", hidden_dim=2), np.random.default_rng(0))
-    tape = Tape(record=False)
-    logits = dec.forward(tape, z, np.array([[0, 1], [0, 2]]))
+    model = GAEModel(p3(), small_cfg(decoder="dot", hidden_dim=2))
+    logits = model.decode(Tape(record=False), z, np.array([[0, 1], [0, 2]]))
     assert np.allclose(logits.value[:, 0], [1.0, 0.0])
 
 
 def test_mlp_decoder_zero_head_gives_chance_probability():
-    from linkgae.engine import Tensor
-    from scipy.special import expit
     rng = np.random.default_rng(0)
-    dec = Decoder(ModelConfig(decoder="mlp", mlp_layers=3, dropout=0.0, hidden_dim=8), rng)
-    dec.w_head.value[:] = 0.0
-    dec.b_head.value[:] = 0.0
+    model = GAEModel(p3(), small_cfg(mlp_layers=3, hidden_dim=8))
+    model.tensors["dec.head.w"].value[:] = 0.0
+    model.tensors["dec.head.b"].value[:] = 0.0
     z = Tensor(rng.standard_normal((5, 8)))
-    logits = dec.forward(Tape(record=False), z, np.array([[0, 1], [2, 3], [1, 4]]))
+    logits = model.decode(Tape(record=False), z, np.array([[0, 1], [2, 3], [1, 4]]))
     assert np.array_equal(logits.value, np.zeros((3, 1)))
     assert np.all(expit(logits.value) == 0.5)
 
 
 def test_mlp_decoder_records_one_block_node_per_layer():
-    from linkgae.engine import Tensor
     rng = np.random.default_rng(0)
     for residual in (True, False):
-        dec = Decoder(ModelConfig(decoder="mlp", mlp_layers=3, dropout=0.2, hidden_dim=8,
-                                  decoder_residual=residual), rng)
+        model = GAEModel(p3(), small_cfg(mlp_layers=3, dropout=0.2, hidden_dim=8,
+                                         decoder_residual=residual))
         tape = Tape()
-        dec.forward(tape, Tensor(rng.standard_normal((5, 8)), param=True),
-                    np.array([[0, 1], [2, 3], [1, 4]]), rng=rng)
+        model.decode(tape, Tensor(rng.standard_normal((5, 8)), param=True),
+                     np.array([[0, 1], [2, 3], [1, 4]]), rng=rng)
         ops = [node.backward.__qualname__.split(".")[1] for node in tape.nodes]
         assert ops.count("dense_block") == 3
         assert not {"relu", "dropout"} & set(ops)
@@ -408,22 +419,13 @@ def test_mlp_decoder_records_one_block_node_per_layer():
 
 
 def test_decoder_rejects_out_of_range_edge():
-    from linkgae.engine import Tensor
-    dec = Decoder(ModelConfig(decoder="dot", hidden_dim=2), np.random.default_rng(0))
+    model = GAEModel(p3(), small_cfg(decoder="dot", hidden_dim=2))
     z = Tensor(np.ones((3, 2)))
     with pytest.raises(IndexError):
-        dec.forward(Tape(record=False), z, np.array([[0, 5]]))
+        model.decode(Tape(record=False), z, np.array([[0, 5]]))
 
 
 # -- whole model ----------------------------------------------------------------
-
-def small_cfg(**kw) -> ModelConfig:
-    base = dict(input_mode="learnable-orthogonal", mpnn_layers=2, hidden_dim=16,
-                mlp_layers=2, batch_size=64, dropout=0.0, dtype="float64",
-                epochs=5, metric="hits@1")
-    base.update(kw)
-    return ModelConfig(**base)
-
 
 def test_model_masked_operators_zero_batch_edges(rng):
     g = random_graph(rng, n_min=10, n_max=14, p=0.4)

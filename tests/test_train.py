@@ -304,9 +304,9 @@ def test_learnable_embeddings_stay_near_orthogonal():
     g, split = trainable_graph(seed=10, n=100)
     cfg = tiny_cfg(hidden_dim=64, epochs=30, eval_every=10, patience=50)
     model = GAEModel(g, cfg, seed=10)
-    before, _ = orthogonality_stats(model.input.table.value)
+    before, _ = orthogonality_stats(model.tensors["input.table"].value)
     fit(model, split, cfg, seed=10)
-    after, _ = orthogonality_stats(model.input.table.value)
+    after, _ = orthogonality_stats(model.tensors["input.table"].value)
     assert before < 0.15
     assert after < 0.15  # drift stays small at desk scale
 
