@@ -39,6 +39,15 @@ def _decode(codes: Array, n: int) -> Array:
     return np.stack([codes // n, codes % n], axis=1).astype(np.int64)
 
 
+def _unique(codes: Array) -> Array:
+    """``np.unique`` of 1-D integer codes, by one sort and an adjacent-difference
+    mask (numpy's hashing ``unique`` is many times slower on int64 codes)."""
+    codes = np.sort(codes)
+    keep = np.ones(len(codes), dtype=bool)
+    keep[1:] = codes[1:] != codes[:-1]
+    return codes[keep]
+
+
 def _find(sorted_codes: Array, codes: Array) -> tuple[Array, Array]:
     """Insertion positions of ``codes`` in the sorted, duplicate-free
     ``sorted_codes``, and whether each code is present there."""
@@ -70,7 +79,7 @@ class Graph:
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         if edges.size and (edges.min() < 0 or edges.max() >= n):
             raise ValueError(f"edge endpoint out of range for n={n}")
-        codes = np.unique(_codes(edges[edges[:, 0] != edges[:, 1]], n))
+        codes = _unique(_codes(edges[edges[:, 0] != edges[:, 1]], n))
         u, v = np.divmod(codes, n)
         # row * n + col for both directions: sorted, that is CSR order
         rows, cols = np.divmod(np.sort(np.concatenate([codes, v * n + u])), n)
@@ -311,7 +320,7 @@ class EdgeSplit:
             loops = flat[:, 0] == flat[:, 1]
             if loops.any():
                 raise ValueError(f"split {name}: self-pair {flat[loops][0].tolist()}")
-        codes = {name: np.unique(_codes(pairs, num_nodes)) for name, pairs in positives.items()}
+        codes = {name: _unique(_codes(pairs, num_nodes)) for name, pairs in positives.items()}
         for a, b in (("train", "valid"), ("train", "test"), ("valid", "test")):
             shared = np.intersect1d(codes[a], codes[b], assume_unique=True)
             if len(shared):

@@ -3,11 +3,13 @@
 Structural scores sum over shared neighbors r of (u, v):
   CN: 1,  AA: 1/ln deg(r),  RA: 1/deg(r)
 One numpy routine scores a whole batch. Pair i's two neighbor lists become
-the codes i*n + r, sorted because CSR rows are; one sorted-code search finds
-the shared r, and a bincount sums their weights per pair in ascending r, so
-scores are symmetric in (u, v) to the bit. Chunks of pairs hold about
-CODE_BUDGET codes, at most CODE_BUDGET + max degree per side, however many
-pairs share a hub.
+the codes i*n + r: one ascending run for the u side, then one for the v
+side, because CSR rows are sorted. A stable sort merges the two runs in
+linear time, and a code equal to the one before it is a shared r. A
+bincount sums their weights per pair in ascending r, so scores are
+symmetric in (u, v) to the bit. A chunk of pairs holds at most
+CODE_BUDGET plus the largest deg(u) + deg(v) codes, however many pairs
+share a hub.
 The feature heuristic is cosine similarity of the endpoint feature rows.
 All heuristic evaluation runs on the train-edge graph only.
 """
@@ -17,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .evaluation import MetricSpec
-from .graph import Graph, EdgeSplit, _find
+from .graph import Graph, EdgeSplit
 
 EPSILON = 1e-9
 CODE_BUDGET = 1 << 17
@@ -25,12 +27,14 @@ CODE_BUDGET = 1 << 17
 HEURISTICS = ("cn", "aa", "ra", "cos")
 
 
-def _neighbor_codes(g: Graph, start: np.ndarray, deg: np.ndarray) -> np.ndarray:
-    """``i * n + r`` for every r in CSR row i (``start[i]``, ``deg[i]`` long), ascending."""
+def _neighbor_codes(g: Graph, rows: np.ndarray, start: np.ndarray,
+                    deg: np.ndarray) -> np.ndarray:
+    """``rows[j] * n + r`` for every r in CSR row j (``start[j]``, ``deg[j]``
+    long); ascending over any stretch of ascending ``rows``."""
     ends = np.cumsum(deg)
     offset = np.repeat(start - ends + deg, deg)
     pos = np.arange(len(offset)) + offset
-    return np.repeat(np.arange(len(deg)) * g.num_nodes, deg) + g.indices[pos]
+    return np.repeat(rows * g.num_nodes, deg) + g.indices[pos]
 
 
 def _structural(g: Graph, pairs: np.ndarray, which: str) -> np.ndarray:
@@ -42,9 +46,10 @@ def _structural(g: Graph, pairs: np.ndarray, which: str) -> np.ndarray:
         chunk = np.cumsum(size)[1::2] // CODE_BUDGET
         cuts = (np.flatnonzero(chunk[1:] != chunk[:-1]) + 1).tolist()
     for s, e in zip([0, *cuts], [*cuts, len(pairs)]):
-        nv = _neighbor_codes(g, start[s:e, 1], size[s:e, 1])
-        i, r = np.divmod(nv[_find(_neighbor_codes(g, start[s:e, 0], size[s:e, 0]), nv)[1]],
-                         g.num_nodes)
+        ids = np.arange(e - s)
+        codes = np.sort(_neighbor_codes(g, np.concatenate([ids, ids]), start[s:e].T.ravel(),
+                                        size[s:e].T.ravel()), kind="stable")  # merges two runs
+        i, r = np.divmod(codes[1:][codes[1:] == codes[:-1]], g.num_nodes)
         if which == "cn":
             out[s:e] = np.bincount(i, minlength=e - s)
             continue
@@ -79,10 +84,10 @@ def score_edges(g: Graph, edges: np.ndarray, which: str) -> np.ndarray:
             raise ValueError(
                 "cosine heuristic needs features; use all-ones features for "
                 "featureless graphs")
-        norms = np.linalg.norm(x, axis=1)
-        safe = np.where(norms == 0.0, 1.0, norms)
-        xn = x / safe[:, None]
-        scores = np.sum(xn[flat[:, 0]] * xn[flat[:, 1]], axis=1)
+        rows = x[flat.T]  # (2, m, d): only the endpoints' rows are normalised
+        norms = np.linalg.norm(rows, axis=2)
+        unit = rows / np.where(norms == 0.0, 1.0, norms)[..., None]
+        scores = np.sum(unit[0] * unit[1], axis=1)
     else:
         scores = _structural(g, flat, which)
     return scores.reshape(edges.shape[:-1])

@@ -21,19 +21,17 @@ def structure_dominant_graph(n: int = 2000, community_size: int = 20,
         raise ValueError("n must be a multiple of community_size")
     rng = np.random.default_rng(seed)
     iu, ju = np.triu_indices(community_size, k=1)
-    edges = []
-    for start in range(0, n, community_size):
-        keep = rng.random(len(iu)) < p_in
-        block = np.stack([iu[keep] + start, ju[keep] + start], axis=1)
-        edges.append(block)
+    # one row of draws per community, read in the same order as one draw each
+    community, pair = np.nonzero(rng.random((n // community_size, len(iu))) < p_in)
+    start = community * community_size
+    inside = np.stack([iu[pair] + start, ju[pair] + start], axis=1)
     n_cross = int(n * cross_degree / 2)
     u = rng.integers(0, n, 3 * n_cross)
     v = rng.integers(0, n, 3 * n_cross)
     different = (u // community_size) != (v // community_size)
     cross = np.stack([u[different], v[different]], axis=1)[:n_cross]
-    edges.append(cross)
     features = rng.standard_normal((n, feature_dim))
-    return Graph.from_edges(n, np.concatenate(edges, axis=0), features)
+    return Graph.from_edges(n, np.concatenate([inside, cross], axis=0), features)
 
 
 def is_synth_spec(dataset: str) -> bool:

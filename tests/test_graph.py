@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from linkgae.graph import (EdgeSplit, Graph, load_graph, mean_adjacency,
-                           normalize, plain_adjacency, random_split,
-                           sample_negatives)
+from linkgae.graph import (EdgeSplit, Graph, _unique, load_graph,
+                           mean_adjacency, normalize, plain_adjacency,
+                           random_split, sample_negatives)
 from tests.conftest import random_graph, validate_csr
 
 
@@ -98,6 +98,17 @@ def test_from_edges_matches_a_dense_adjacency_csr(n, edges):
     assert g.indptr.dtype == g.indices.dtype == np.int64
     assert np.array_equal(g.indptr, want.indptr) and np.array_equal(g.indices, want.indices)
     assert np.array_equal(g.edge_list(), np.argwhere(np.triu(dense)))
+
+
+@pytest.mark.parametrize("codes", [
+    [], [7], [3, 3, 3, 3], [5, -2, 5, 9, -2, 0, 2**62, -(2**62), 0],
+    np.random.default_rng(5).integers(-50, 50, 1000),
+    np.random.default_rng(6).integers(0, 2**62, 500),
+], ids=["empty", "single", "all-equal", "mixed", "random-dense", "random-wide"])
+def test_unique_matches_numpy_unique(codes):
+    codes = np.asarray(codes, dtype=np.int64)
+    got = _unique(codes)
+    assert got.dtype == np.int64 and np.array_equal(got, np.unique(codes))
 
 
 def test_validate_rejects_broken_csr():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -51,31 +53,63 @@ def set_oracle(g: Graph, pairs: np.ndarray, which: str) -> np.ndarray:
     return np.array(out, dtype=np.float64).reshape(pairs.shape[:-1])
 
 
-def test_shared_neighbor_weights_match_the_all_node_formula(rng):
+def all_node_weights(g: Graph) -> dict[str, np.ndarray]:
+    deg = g.degrees
+    with np.errstate(divide="ignore"):
+        return {"cn": np.ones(g.num_nodes), "aa": 1.0 / np.log(deg), "ra": 1.0 / deg}
+
+
+def assert_all_node_formula(g: Graph, pairs: np.ndarray, which: str) -> None:
     # The weight vector over all n nodes, indexed at the shared neighbors and
-    # summed in ascending neighbor order. Sparse graphs have many degree-1
-    # nodes; self-pairs share them (CN, RA), other pairs never do.
+    # summed in ascending neighbor order, compared with float.hex.
+    w = all_node_weights(g)[which]
+    want = []
+    for u, v in pairs.reshape(-1, 2):
+        total = 0.0
+        for r in np.intersect1d(g.indices[g.indptr[u]:g.indptr[u + 1]],
+                                g.indices[g.indptr[v]:g.indptr[v + 1]]):
+            total += w[r]
+        want.append(total.hex())
+    got = score_edges(g, pairs, which)
+    assert got.shape == pairs.shape[:-1]
+    assert [float(x).hex() for x in got.ravel()] == want
+
+
+def test_shared_neighbor_weights_match_the_all_node_formula(rng, monkeypatch):
+    # Sparse graphs have many degree-1 nodes; self-pairs share them (CN, RA),
+    # other pairs never do.
     degree_one = 0
     for _ in range(20):
         g = random_graph(rng, n_min=20, n_max=60, p=0.06)
-        deg = g.degrees
-        degree_one += int(np.sum(deg == 1))
-        with np.errstate(divide="ignore"):
-            weights = {"cn": np.ones(g.num_nodes), "aa": 1.0 / np.log(deg), "ra": 1.0 / deg}
-        nbrs = [g.indices[g.indptr[u]:g.indptr[u + 1]] for u in range(g.num_nodes)]
+        degree_one += int(np.sum(g.degrees == 1))
         drawn = rng.integers(0, g.num_nodes, (300, 2))
         selves = np.repeat(np.arange(g.num_nodes), 2).reshape(-1, 2)
-        for which, w in weights.items():
+        for which in ("cn", "aa", "ra"):
             pairs = (drawn[drawn[:, 0] != drawn[:, 1]] if which == "aa"
                      else np.concatenate([drawn, selves]))
-            want = []
-            for u, v in pairs:
-                total = 0.0
-                for r in np.intersect1d(nbrs[u], nbrs[v]):
-                    total += w[r]
-                want.append(total.hex())
-            assert [float(x).hex() for x in score_edges(g, pairs, which)] == want
+            assert_all_node_formula(g, pairs, which)
     assert degree_one > 0
+    # Per-source candidate sets, shape (m, k, 2), whose sources include a hub
+    # joined to half the graph, at the default code budget and at one that
+    # cuts the hub's candidates into chunks of a few pairs.
+    for budget in (CODE_BUDGET, 64):
+        monkeypatch.setattr(heuristics, "CODE_BUDGET", budget)
+        for _ in range(10):
+            g = random_graph(rng, n_min=20, n_max=60, p=0.06)
+            n = g.num_nodes
+            hub = int(rng.integers(n))
+            spokes = rng.choice(n, n // 2, replace=False)
+            g = Graph.from_edges(n, np.concatenate(
+                [g.edge_list(), np.stack([np.full(n // 2, hub), spokes], axis=1)]))
+            assert g.degrees[hub] >= n // 2 - 1
+            sources = np.concatenate([[hub, hub], rng.integers(0, n, 4), [hub]])
+            cand = rng.integers(0, n, (len(sources), 9))
+            cand[-1, 0] = hub  # one self-pair on the hub
+            pairs = np.stack(np.broadcast_arrays(sources[:, None], cand), axis=-1)
+            for which in ("cn", "ra", "aa"):
+                if which == "aa":  # AA is undefined on self-pairs with a degree-1 neighbor
+                    pairs[..., 1] = np.where(cand == sources[:, None], (cand + 1) % n, cand)
+                assert_all_node_formula(g, pairs, which)
 
 
 def test_structural_heuristics_match_set_oracle(rng):
@@ -170,6 +204,37 @@ def test_feature_cosine_values():
     assert abs(cos[1]) < 1e-12  # orthogonal rows
     assert abs(cos[2] - np.sqrt(0.5)) < 1e-10
     assert cos[3] == 0.0  # zero-vector convention
+
+
+def test_feature_cosine_matches_the_whole_table_formula(rng):
+    # Each row's norm is its own, so normalising only the gathered rows
+    # gives the bits of normalising the whole table first.
+    for d in (1, 3, 32, 129):
+        x = rng.standard_normal((300, d)) * rng.choice([1e-3, 1.0, 1e3], (300, 1))
+        x[:5] = 0.0
+        g = Graph.from_edges(300, np.array([[0, 1]]), x)
+        norms = np.linalg.norm(x, axis=1)
+        xn = x / np.where(norms == 0.0, 1.0, norms)[:, None]
+        for pairs in (rng.integers(0, 300, (1, 2)), rng.integers(0, 300, (500, 2)),
+                      rng.integers(0, 300, (7, 4, 2))):
+            flat = pairs.reshape(-1, 2)
+            want = np.sum(xn[flat[:, 0]] * xn[flat[:, 1]], axis=1)
+            got = score_edges(g, pairs, "cos")
+            assert got.shape == pairs.shape[:-1]
+            assert [x.hex() for x in got.ravel().tolist()] == [x.hex() for x in want.tolist()]
+
+
+def test_feature_cosine_of_one_pair_does_not_copy_the_table():
+    g = Graph.from_edges(100_000, np.array([[0, 1]]), np.ones((100_000, 32)))
+    pair = np.array([[3, 99_999]])
+    tracemalloc.start()
+    try:
+        score = score_edges(g, pair, "cos")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(score[0] - 1.0) < 1e-12
+    assert peak < 1 << 20  # the normalised table alone would be 25.6 MB
 
 
 def test_feature_cosine_requires_features():
