@@ -30,7 +30,9 @@ HEURISTICS = ("cn", "aa", "ra", "cos")
 def _neighbor_codes(g: Graph, rows: np.ndarray, start: np.ndarray,
                     deg: np.ndarray) -> np.ndarray:
     """``rows[j] * n + r`` for every r in CSR row j (``start[j]``, ``deg[j]``
-    long); ascending over any stretch of ascending ``rows``."""
+    long); ascending over any stretch of ascending ``rows``. With ``rows``
+    0..k-1 for the u sides and again for the v sides, that is the two runs
+    the stable sort in ``_structural`` merges."""
     ends = np.cumsum(deg)
     offset = np.repeat(start - ends + deg, deg)
     pos = np.arange(len(offset)) + offset
