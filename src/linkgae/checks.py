@@ -145,7 +145,7 @@ def gradient_check_all() -> dict[str, float]:
             for name, (inputs, fwd) in _op_cases(rng).items()}
 
 
-def verify_cn_equivalence(g: Graph, k: int, d: int | None = None) -> float:
+def verify_cn_equivalence(g: Graph, k: int) -> float:
     """Max |z_i . z_j - (A_norm^{2k})_{ij}| for the identity-weight linear encoder.
 
     Embeds with a fixed-orthogonal model (exactly orthonormal inputs) whose
@@ -155,16 +155,13 @@ def verify_cn_equivalence(g: Graph, k: int, d: int | None = None) -> float:
     n = g.num_nodes
     if n > 512:
         raise ValueError("dense-power oracle is limited to n <= 512")
-    d = n if d is None else d
-    if n > d:
-        raise ValueError(f"exact orthonormal inputs need d >= num_nodes ({n})")
     model = GAEModel(g, ModelConfig(input_mode="fixed-orthogonal", conv="gcn",
-                                    mpnn_layers=k, hidden_dim=d, encoder_residual=False,
+                                    mpnn_layers=k, hidden_dim=n, encoder_residual=False,
                                     dtype="float64"), seed=0)
     for l in range(k):
-        model.tensors[f"enc.{l}.w"].value = np.eye(d)  # each layer a pure propagation step
+        model.tensors[f"enc.{l}.w"].value = np.eye(n)  # each layer a pure propagation step
     z = model.embed(MessageOperators.build(g, "gcn", np.float64))
-    oracle = np.linalg.matrix_power(normalize(g).toarray(), 2 * k)
+    oracle = np.linalg.matrix_power(normalize(g).mat.toarray(), 2 * k)
     return float(np.max(np.abs(z @ z.T - oracle)))
 
 

@@ -189,12 +189,12 @@ def cmd_grid(args) -> int:
             raise ValueError("sweep needs a non-empty comma-separated value list")
         variants = [(str(v), {args.axis: v}) for v in values]
         stem, label, prefix = "sweep", "value", f"{args.axis}="
+    configs = [(name, cfg.replace(**delta)) for name, delta in variants]
     seeds = list(range(args.seed, args.seed + args.seeds))
     splits = _train_splits(g, cfg, seeds, None)
     path = _out_dir(args.out_dir, args.dataset, cfg, seeds) / f"{stem}-{args.axis}.csv"
     lines = [",".join([label] + [f"seed{s}" for s in seeds] + ["mean", "std"])]
-    for name, delta in variants:
-        vcfg = cfg.replace(**delta)
+    for name, vcfg in configs:
         vals = [fit(GAEModel(g, vcfg, seed=seed), split, vcfg, seed=seed).test_metric
                 for seed, split in zip(seeds, splits)]
         mean, std = float(np.mean(vals)), float(np.std(vals))
@@ -223,7 +223,7 @@ def cmd_index(args) -> int:
 def cmd_heuristic(args) -> int:
     g = resolve_graph(args.dataset, args.data_dir)
     cfg = resolve_config(args)
-    metric = MetricSpec.parse(args.metric or cfg.metric)
+    metric = MetricSpec.parse(cfg.metric)
     split = random_split(g, seed=args.seed)
     value = heuristic_eval(g, split, args.which, metric)
     blob = {"metric": str(metric), "value": value, "K": metric.k,
@@ -289,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("heuristic", help="evaluate a classic heuristic")
     common(p, out_dir=False)
     p.add_argument("--which", required=True, choices=HEURISTICS)
-    p.add_argument("--metric", default=None, help="hits@K or mrr")
     p.set_defaults(func=cmd_heuristic)
 
     p = sub.add_parser("verify", help="gradient, equivalence, and init checks")

@@ -1,7 +1,8 @@
 """Ranking metrics and embedding diagnostics, over numpy arrays only.
 
-Tie policy is pessimistic throughout: a positive tied with a negative
-counts as ranked below it. A NaN score raises; an infinite one ranks.
+``MetricSpec.evaluate`` is the one entry point for Hits@K and MRR. Tie
+policy is pessimistic throughout: a positive tied with a negative counts as
+ranked below it. A NaN score raises; an infinite one ranks.
 """
 
 from __future__ import annotations
@@ -42,20 +43,6 @@ def _ranks(pos_scores: np.ndarray, neg_scores: np.ndarray) -> np.ndarray:
     return 1 + np.sum(neg >= pos[:, None], axis=1)
 
 
-def hits_at_k(pos_scores: np.ndarray, neg_scores: np.ndarray, k: int) -> float:
-    """Fraction of positives ranked at most k (``_ranks``); per-source
-    negatives need k per row."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    MetricSpec("hits", k).check_pool(np.shape(neg_scores))
-    return float(np.mean(_ranks(pos_scores, neg_scores) <= k))
-
-
-def mrr(pos_scores: np.ndarray, neg_scores: np.ndarray) -> float:
-    """Mean reciprocal rank, rank as in ``_ranks``."""
-    return float(np.mean(1.0 / _ranks(pos_scores, neg_scores)))
-
-
 @dataclass(frozen=True)
 class MetricSpec:
     """Which ranking metric to compute; negative score shape picks the pool."""
@@ -85,9 +72,12 @@ class MetricSpec:
                              f"{f' in {where}' if where else ''}")
 
     def evaluate(self, pos_scores: np.ndarray, neg_scores: np.ndarray) -> float:
+        """Hits@K (fraction of positives ranked at most K; per-source negatives
+        need K per row) or mean reciprocal rank, rank as in ``_ranks``."""
         if self.kind == "hits":
-            return hits_at_k(pos_scores, neg_scores, self.k)
-        return mrr(pos_scores, neg_scores)
+            self.check_pool(np.shape(neg_scores))
+            return float(np.mean(_ranks(pos_scores, neg_scores) <= self.k))
+        return float(np.mean(1.0 / _ranks(pos_scores, neg_scores)))
 
     def __str__(self) -> str:
         return f"hits@{self.k}" if self.kind == "hits" else "mrr"

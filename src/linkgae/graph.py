@@ -24,15 +24,10 @@ import scipy.sparse as sp
 Array = np.ndarray
 
 
-def _canonical(edges: Array) -> Array:
-    """Sort each pair so u < v; input shape (m, 2)."""
-    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    return np.stack([e.min(axis=1), e.max(axis=1)], axis=1)
-
-
 def _codes(edges: Array, n: int) -> Array:
-    e = _canonical(edges)
-    return e[:, 0] * n + e[:, 1]
+    """``min(u, v) * n + max(u, v)`` of each pair; input shape (m, 2)."""
+    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    return e.min(axis=1) * n + e.max(axis=1)
 
 
 def _decode(codes: Array, n: int) -> Array:
@@ -195,9 +190,6 @@ class SparseOperator:
         self._check(x, self.shape[0], "spmm^T")
         return self.mat.T @ x
 
-    def toarray(self) -> Array:
-        return self.mat.toarray()
-
     def without_edges(self, edges: Array) -> "SparseOperator":
         """Copy with the given undirected edges' values set to zero.
 
@@ -268,11 +260,9 @@ class EdgeSplit:
     test_pos: Array
     valid_neg: Array
     test_neg: Array
-    seed: int
 
     def save(self, path: str | Path) -> None:
         blob = {
-            "seed": self.seed,
             "train": self.train_pos.tolist(),
             "valid": self.valid_pos.tolist(),
             "test": self.test_pos.tolist(),
@@ -291,7 +281,6 @@ class EdgeSplit:
             test_pos=np.asarray(blob["test"], dtype=np.int64).reshape(-1, 2),
             valid_neg=np.asarray(blob["neg"]["valid"], dtype=np.int64),
             test_neg=np.asarray(blob["neg"]["test"], dtype=np.int64),
-            seed=int(blob["seed"]),
         )
         split.validate(num_nodes)
         return split
@@ -300,15 +289,18 @@ class EdgeSplit:
         """Raise ValueError for a malformed or leaky split of a graph on
         ``num_nodes`` nodes.
 
-        Rejects node ids outside [0, num_nodes), self-pairs, positives shared
-        between train, valid and test, negatives shaped other than (m, 2) or
-        (m, k, 2), and negatives that are positives of the split.
+        Rejects an empty train, valid or test set, node ids outside
+        [0, num_nodes), self-pairs, positives shared between train, valid and
+        test, negatives shaped other than (m, 2) or (m, k, 2), and negatives
+        that are positives of the split.
         """
         positives = {"train": self.train_pos, "valid": self.valid_pos, "test": self.test_pos}
         named = {**positives, "valid negatives": self.valid_neg,
                  "test negatives": self.test_neg}
         for name, pairs in named.items():
             negative = name not in positives
+            if not negative and not pairs.size:
+                raise ValueError(f"split {name}: no positive pairs")
             if pairs.size and (pairs.ndim not in ((2, 3) if negative else (2,))
                                or pairs.shape[-1] != 2):
                 shapes = "(m, 2) or (m, k, 2)" if negative else "(m, 2)"
@@ -354,7 +346,7 @@ def random_split(g: Graph, seed: int = 0) -> EdgeSplit:
     a, b = sizes[0], sizes[0] + sizes[1]
     train, valid, test = edges[perm[:a]], edges[perm[a:b]], edges[perm[b:]]
     negs = sample_negatives(g, sizes[1] + sizes[2], rng)
-    return EdgeSplit(train, valid, test, negs[:sizes[1]], negs[sizes[1]:], seed)
+    return EdgeSplit(train, valid, test, negs[:sizes[1]], negs[sizes[1]:])
 
 
 def sample_negatives(g: Graph, count: int, seed: int | np.random.Generator) -> Array:

@@ -156,11 +156,13 @@ def fit(model: GAEModel, split: EdgeSplit, cfg: ModelConfig, seed: int = 0,
     comes from the checkpoint with the best validation metric. The message
     operator follows the model's own conv and dtype (``model.cfg``); ``cfg``
     supplies the training settings. The first call in a process also applies
-    ``_keep_heap_warm``. Negatives too few for the metric raise ValueError
-    before the first epoch (``check_negatives``).
+    ``_keep_heap_warm``. No train or valid positives, or negatives too few
+    for the metric (``check_negatives``), raise ValueError before the first
+    epoch.
     """
-    if len(split.valid_pos) == 0:
-        raise ValueError("fit needs validation edges for model selection")
+    for name, pos in (("train", split.train_pos), ("validation", split.valid_pos)):
+        if len(pos) == 0:
+            raise ValueError(f"fit needs {name} edges")
     metric = MetricSpec.parse(cfg.metric)
     check_negatives(split, metric)
     _keep_heap_warm()

@@ -10,6 +10,7 @@ import pytest
 import linkgae
 from linkgae.cli import main
 from linkgae.graph import EdgeSplit, random_split
+from linkgae.synth import parse_synth_spec
 
 FAST = ("hidden_dim=16,epochs=4,eval_every=2,patience=2,batch_size=512,mlp_layers=2,"
         "metric=hits@10,lr=0.01")
@@ -88,6 +89,7 @@ def test_unknown_axis_is_usage_error():
     ["split", "--out", "split.json", "--out-dir", "runs"],
     ["index", "--out-dir", "runs"],
     ["heuristic", "--which", "cn", "--out-dir", "runs"],
+    ["heuristic", "--which", "cn", "--metric", "hits@10"],  # --set metric=hits@10 does it
 ])
 def test_flag_the_subcommand_does_not_read_is_usage_error(argv, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # where a run that ignored the flag would write
@@ -249,6 +251,14 @@ def test_grid_pool_error_names_the_seed(capsys, monkeypatch, tmp_path):
     assert not any(tmp_path.iterdir())
 
 
+def test_sweep_invalid_value_exits_2_before_any_output(capsys, tmp_path):
+    rc = run(["sweep", "--dataset", TINY, "--axis", "mpnn_layers", "--values", "2,0",
+              "--seeds", "1", "--set", FAST, "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert "mpnn_layers and hidden_dim must be >= 1" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_sweep_empty_values_exits_2(capsys):
     assert run(["sweep", "--dataset", TINY, "--axis", "mpnn_layers",
                 "--values", "", "--seeds", "1"]) == 2
@@ -273,8 +283,7 @@ def test_index_featureless_graph_reports_structure_dominance(tmp_path, capsys):
 
 
 def test_heuristic_emits_json(capsys):
-    rc = run(["heuristic", "--dataset", TINY, "--which", "aa",
-              "--metric", "hits@10"])
+    rc = run(["heuristic", "--dataset", TINY, "--which", "aa", "--set", "metric=hits@10"])
     assert rc == 0
     blob = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
     assert blob["heuristic"] == "aa"
@@ -375,9 +384,9 @@ def test_split_roundtrip(tmp_path):
     out = tmp_path / "split.json"
     assert run(["split", "--dataset", TINY, "--out", str(out), "--seed", "3"]) == 0
     split = EdgeSplit.load(out, 100)
-    assert split.seed == 3
-    total = len(split.train_pos) + len(split.valid_pos) + len(split.test_pos)
-    assert total > 0
+    want = random_split(parse_synth_spec(TINY), seed=3)
+    for name in ("train_pos", "valid_pos", "test_pos", "valid_neg", "test_neg"):
+        assert np.array_equal(getattr(split, name), getattr(want, name))
 
 
 def test_leaky_split_file_exits_2(tmp_path, capsys):
@@ -391,6 +400,28 @@ def test_leaky_split_file_exits_2(tmp_path, capsys):
               "--set", "epochs=2,eval_every=1", "--out-dir", str(tmp_path / "runs")])
     assert rc == 2
     assert "split" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["train", "valid", "test"])
+def test_split_file_with_no_positives_in_a_set_exits_2_before_any_output(key, tmp_path,
+                                                                           capsys):
+    path = tmp_path / "split.json"
+    assert run(["split", "--dataset", TINY, "--out", str(path)]) == 0
+    blob = json.loads(path.read_text())
+    blob[key] = []
+    path.write_text(json.dumps(blob))
+    runs = tmp_path / "runs"
+    rc = run(["train", "--dataset", TINY, "--split-file", str(path), "--set", FAST,
+              "--out-dir", str(runs)])
+    assert rc == 2
+    assert f"split {key}: no positive pairs" in capsys.readouterr().err
+    assert not runs.exists()
+
+
+@pytest.mark.parametrize("cs", ["0", "-4"])
+def test_synth_community_size_below_one_exits_2(cs, capsys):
+    assert run(["index", "--dataset", f"synth:n=40,cs={cs}"]) == 2
+    assert f"community_size must be >= 1, got {cs}" in capsys.readouterr().err
 
 
 def test_non_finite_loss_exits_1_with_one_line(capsys, monkeypatch, tmp_path):

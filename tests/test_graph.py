@@ -128,19 +128,19 @@ def test_validate_rejects_broken_csr():
 
 def test_normalize_single_edge_dense_form():
     g = Graph.from_edges(2, np.array([[0, 1]]))
-    dense = normalize(g).toarray()
+    dense = normalize(g).mat.toarray()
     assert np.allclose(dense, [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
 
 
 def test_normalize_isolated_node_self_loop_only():
     g = Graph.from_edges(3, np.array([[0, 1]]))
-    dense = normalize(g).toarray()
+    dense = normalize(g).mat.toarray()
     assert dense[2, 2] == 1.0
     assert np.all(dense[2, :2] == 0.0) and np.all(dense[:2, 2] == 0.0)
 
 
 def test_normalize_p3_entry():
-    dense = normalize(p3()).toarray()
+    dense = normalize(p3()).mat.toarray()
     assert abs(dense[0, 1] - 1.0 / np.sqrt(6.0)) < 1e-15
     # diagonal entries are 1/(deg+1)
     assert np.allclose(np.diag(dense), [0.5, 1.0 / 3.0, 0.5], atol=1e-15)
@@ -150,7 +150,7 @@ def test_normalize_symmetry_values_and_degrees(rng):
     for _ in range(20):
         g = random_graph(rng, n_max=30)
         adj = normalize(g)
-        dense = adj.toarray()
+        dense = adj.mat.toarray()
         assert np.array_equal(dense, dense.T)
         vals = adj.mat.data
         assert np.all(vals > 0.0) and np.all(vals <= 1.0)
@@ -174,7 +174,7 @@ def test_spmm_matches_dense_oracle_on_random_graphs(rng):
         g = random_graph(rng, n_max=50)
         adj = normalize(g)
         x = rng.standard_normal((g.num_nodes, 3))
-        dense = adj.toarray() @ x
+        dense = adj.mat.toarray() @ x
         assert np.max(np.abs(adj.matvec(x) - dense)) < 1e-12
 
 
@@ -183,7 +183,7 @@ def test_spmm_row_sums_match_operator(rng):
         g = random_graph(rng, n_max=30)
         adj = normalize(g)
         ones = np.ones((g.num_nodes, 1))
-        assert np.allclose(adj.matvec(ones)[:, 0], adj.toarray().sum(axis=1), atol=1e-12)
+        assert np.allclose(adj.matvec(ones)[:, 0], adj.mat.toarray().sum(axis=1), atol=1e-12)
 
 
 def test_spmm_repeated_calls_bit_identical(rng):
@@ -213,10 +213,10 @@ def test_products_reject_an_input_of_the_other_dtype(build):
 
 def test_mean_and_plain_adjacency():
     g = p3()
-    mean = mean_adjacency(g).toarray()
+    mean = mean_adjacency(g).mat.toarray()
     assert np.allclose(mean[1], [0.5, 0.0, 0.5])
     assert np.allclose(mean[0], [0.0, 1.0, 0.0])
-    plain = plain_adjacency(g).toarray()
+    plain = plain_adjacency(g).mat.toarray()
     assert np.array_equal(plain, np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float))
 
 
@@ -245,12 +245,12 @@ def test_without_edges_matches_the_per_edge_loop(build, rng):
         masked = op.without_edges(batch)
         want = _without_edges_loop(op, batch)
         assert np.array_equal(masked.mat.data, want.data)
-        assert np.array_equal(masked.toarray(), want.toarray())
+        assert np.array_equal(masked.mat.toarray(), want.toarray())
         assert np.shares_memory(masked.mat.indptr, op.mat.indptr)
         assert np.shares_memory(masked.mat.indices, op.mat.indices)
         assert masked.symmetric == op.symmetric
         x = rng.standard_normal((g.num_nodes, 3))
-        assert np.allclose(masked.rmatvec(x), masked.toarray().T @ x, rtol=0, atol=1e-12)
+        assert np.allclose(masked.rmatvec(x), masked.mat.toarray().T @ x, rtol=0, atol=1e-12)
         assert np.array_equal(masked.rmatvec(x), masked.mat.T.tocsr() @ x)
         # built in float32: the float64 values rounded once, masked the same way
         masked32 = build(g, np.float32).without_edges(batch)
@@ -272,10 +272,10 @@ def test_without_edges_zeroes_both_directions():
     g = p3()
     adj = normalize(g)
     masked = adj.without_edges(np.array([[0, 1]]))
-    d = masked.toarray()
+    d = masked.mat.toarray()
     assert d[0, 1] == 0.0 and d[1, 0] == 0.0
-    assert d[1, 2] == adj.toarray()[1, 2]  # untouched entries keep their values
-    assert adj.toarray()[0, 1] != 0.0  # original operator is unchanged
+    assert d[1, 2] == adj.mat.toarray()[1, 2]  # untouched entries keep their values
+    assert adj.mat.toarray()[0, 1] != 0.0  # original operator is unchanged
 
 
 # -- splitting ----------------------------------------------------------------
@@ -328,13 +328,19 @@ def test_split_save_load_roundtrip(tmp_path):
     split = random_split(ten_edge_graph(), seed=4)
     path = tmp_path / "split.json"
     split.save(path)
+    blob = json.loads(path.read_text())
+    assert "seed" not in blob
     back = EdgeSplit.load(path, 8)
-    assert back.seed == 4
     assert np.array_equal(back.train_pos, split.train_pos)
     assert np.array_equal(back.test_neg, split.test_neg)
+    path.write_text(json.dumps({"seed": 4, **blob}))  # files that carry a seed still load
+    assert np.array_equal(EdgeSplit.load(path, 8).valid_pos, split.valid_pos)
 
 
 @pytest.mark.parametrize("edit, message", [
+    (lambda b: b.update(train=[]), "split train: no positive pairs"),
+    (lambda b: b.update(valid=[]), "split valid: no positive pairs"),
+    (lambda b: b.update(test=[]), "split test: no positive pairs"),
     (lambda b: b["test"].append([0, 8]), "out of range"),
     (lambda b: b["train"].append([-1, 2]), "out of range"),
     (lambda b: b["neg"]["valid"].append([3, 99]), "out of range"),
@@ -350,7 +356,7 @@ def test_split_save_load_roundtrip(tmp_path):
 def test_split_load_rejects_bad_files(tmp_path, edit, message):
     path = tmp_path / "split.json"
     random_split(ten_edge_graph(), seed=4).save(path)
-    assert EdgeSplit.load(path, 8).seed == 4
+    EdgeSplit.load(path, 8)  # the unedited file loads
     blob = json.loads(path.read_text())
     edit(blob)
     path.write_text(json.dumps(blob))

@@ -270,7 +270,6 @@ def separable_graph_split():
         test_pos=np.array([[1, 2]]),
         valid_neg=np.empty((0, 2), dtype=np.int64),
         test_neg=np.array([[4, 5]]),
-        seed=0,
     )
     return g, split
 

@@ -31,3 +31,9 @@ def test_one_draw_for_all_communities_reads_the_looped_stream(n, cs, p_in, xdeg,
     want = looped_graph(n, cs, p_in, xdeg, fdim, seed)
     for name in ("indptr", "indices", "_pair_codes", "features"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+@pytest.mark.parametrize("cs", [0, -5])
+def test_community_size_below_one_raises(cs):
+    with pytest.raises(ValueError, match=f"community_size must be >= 1, got {cs}"):
+        structure_dominant_graph(n=40, community_size=cs)

@@ -129,7 +129,7 @@ def test_mask_input_removes_batch_edges_from_messages():
     checked = []
 
     def on_batch(batch, bops):
-        dense = bops.op.toarray()
+        dense = bops.op.mat.toarray()
         for u, v in batch:
             assert dense[u, v] == 0.0 and dense[v, u] == 0.0
         checked.append(len(batch))
@@ -177,6 +177,17 @@ def test_fit_requires_validation_edges():
     model = GAEModel(g, tiny_cfg(), seed=0)
     with pytest.raises(ValueError, match="validation"):
         fit(model, split, tiny_cfg(), seed=0)
+
+
+def test_fit_requires_train_edges_before_the_first_epoch(monkeypatch):
+    def no_epoch(*a, **k):
+        raise AssertionError("train_epoch ran")
+
+    g, split = trainable_graph(seed=5)
+    split.train_pos = np.empty((0, 2), dtype=np.int64)
+    monkeypatch.setattr(train, "train_epoch", no_epoch)
+    with pytest.raises(ValueError, match="fit needs train edges"):
+        fit(GAEModel(g, tiny_cfg(), seed=0), split, tiny_cfg(), seed=0)
 
 
 @pytest.mark.parametrize("shape", ["shared", "per-source"])
