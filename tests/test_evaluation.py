@@ -32,6 +32,12 @@ def test_hits_tie_counts_as_miss():
     assert hits([0.5], [0.5, 0.1], 1) == 0.0
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_hits_at_k_below_one_raises(k):
+    with pytest.raises(ValueError, match="K >= 1"):
+        hits([0.5], [0.4, 0.3], k)
+
+
 @pytest.mark.parametrize("per_source", [False, True], ids=["shared-pool", "per-source"])
 def test_hits_and_mrr_match_the_brute_force_rank(rng, per_source):
     for _ in range(200):
