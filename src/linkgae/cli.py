@@ -32,7 +32,7 @@ from .graph import EdgeSplit, Graph, load_graph, random_split
 from .heuristics import HEURISTICS, heuristic_eval, structure_feature_report
 from .model import GAEModel
 from .synth import is_synth_spec, parse_synth_spec
-from .train import check_negatives, fit
+from .train import fit
 
 # Compact settings used when experimenting on synthetic graphs.
 SYNTH_DEFAULT = ModelConfig(
@@ -71,17 +71,15 @@ def resolve_config(args) -> ModelConfig:
 
 def _train_splits(g: Graph, cfg: ModelConfig, seeds: list[int],
                   path: str | None) -> list[EdgeSplit]:
-    """One split per seed, each checked against ``cfg.metric`` before any
-    training: the split file at ``path`` (checked against the graph too) for
-    every seed, or each seed's random split."""
+    """One split per seed, each passed through ``EdgeSplit.validate`` against
+    ``cfg.metric`` before any training: the split file at ``path`` for every
+    seed, or each seed's random split."""
     metric = MetricSpec.parse(cfg.metric)
     if path:
-        split = EdgeSplit.load(path, g.num_nodes)
-        check_negatives(split, metric, path)
-        return [split] * len(seeds)
+        return [EdgeSplit.load(path, g.num_nodes, metric)] * len(seeds)
     splits = [random_split(g, seed=seed) for seed in seeds]
     for seed, split in zip(seeds, splits):
-        check_negatives(split, metric, f"the seed-{seed} random split")
+        split.validate(g.num_nodes, metric, f"the seed-{seed} random split")
     return splits
 
 

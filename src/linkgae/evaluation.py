@@ -1,6 +1,8 @@
 """Ranking metrics and embedding diagnostics, over numpy arrays only.
 
-``MetricSpec.evaluate`` is the one entry point for Hits@K and MRR. Tie
+``MetricSpec.evaluate`` is the one entry point for Hits@K and MRR, and
+``MetricSpec.check_pool`` the one rule for how many negatives a pool needs:
+K for Hits@K, 1 for MRR, per source for per-source candidate sets. Tie
 policy is pessimistic throughout: a positive tied with a negative counts as
 ranked below it. A NaN score raises; an infinite one ranks.
 """
@@ -32,8 +34,6 @@ def _ranks(pos_scores: np.ndarray, neg_scores: np.ndarray) -> np.ndarray:
     neg = _scores(neg_scores, "negative")
     if pos.size == 0:
         raise ValueError("ranking needs at least one positive")
-    if neg.size == 0:
-        raise ValueError("ranking needs a non-empty negative set")
     if neg.ndim == 1:
         return 1 + len(neg) - np.searchsorted(np.sort(neg), pos, side="left")
     if neg.ndim != 2:
@@ -62,22 +62,21 @@ class MetricSpec:
 
     def check_pool(self, shape: tuple[int, ...], where: str = "") -> None:
         """Raise ValueError unless negative scores of ``shape`` are enough
-        for this metric: hits@K needs K negatives in a shared pool (any shape
-        but 2-D) or K per source (2-D). ``where`` names the pool."""
-        per_source = len(shape) == 2
-        have = shape[1] if per_source else int(np.prod(shape))
-        if self.kind == "hits" and have < self.k:
-            raise ValueError(f"{self} needs at least {self.k} negatives"
-                             f"{' per source' if per_source else ''}, got {have}"
+        for this metric. The pool holds ``shape[-1]`` negatives (0 for
+        ``()``), shared or, for 2-D scores, per source; hits@K needs K of
+        them and MRR 1. ``where`` names the pool."""
+        have, need = (shape[-1] if shape else 0), (self.k if self.kind == "hits" else 1)
+        if have < need:
+            raise ValueError(f"{self} needs at least {need} negative{'s' * (need > 1)}"
+                             f"{' per source' if len(shape) == 2 else ''}, got {have}"
                              f"{f' in {where}' if where else ''}")
 
     def evaluate(self, pos_scores: np.ndarray, neg_scores: np.ndarray) -> float:
-        """Hits@K (fraction of positives ranked at most K; per-source negatives
-        need K per row) or mean reciprocal rank, rank as in ``_ranks``."""
-        if self.kind == "hits":
-            self.check_pool(np.shape(neg_scores))
-            return float(np.mean(_ranks(pos_scores, neg_scores) <= self.k))
-        return float(np.mean(1.0 / _ranks(pos_scores, neg_scores)))
+        """Hits@K (fraction of positives ranked at most K) or mean reciprocal
+        rank, rank as in ``_ranks``, once ``check_pool`` passes the negatives."""
+        self.check_pool(np.shape(neg_scores))
+        ranks = _ranks(pos_scores, neg_scores)
+        return float(np.mean(ranks <= self.k) if self.kind == "hits" else np.mean(1.0 / ranks))
 
     def __str__(self) -> str:
         return f"hits@{self.k}" if self.kind == "hits" else "mrr"

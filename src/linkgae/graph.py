@@ -271,9 +271,9 @@ class EdgeSplit:
         Path(path).write_text(json.dumps(blob))
 
     @classmethod
-    def load(cls, path: str | Path, num_nodes: int) -> "EdgeSplit":
+    def load(cls, path: str | Path, num_nodes: int, metric=None) -> "EdgeSplit":
         """Read a split written by ``save`` for a graph on ``num_nodes`` nodes;
-        ``validate`` checks it on the way in."""
+        ``validate`` checks it, against ``metric`` if given, naming the file."""
         blob = json.loads(Path(path).read_text())
         split = cls(
             train_pos=np.asarray(blob["train"], dtype=np.int64).reshape(-1, 2),
@@ -282,36 +282,41 @@ class EdgeSplit:
             valid_neg=np.asarray(blob["neg"]["valid"], dtype=np.int64),
             test_neg=np.asarray(blob["neg"]["test"], dtype=np.int64),
         )
-        split.validate(num_nodes)
+        split.validate(num_nodes, metric, str(path))
         return split
 
-    def validate(self, num_nodes: int) -> None:
+    def validate(self, num_nodes: int, metric=None, source: str = "the split") -> None:
         """Raise ValueError for a malformed or leaky split of a graph on
-        ``num_nodes`` nodes.
+        ``num_nodes`` nodes; every split that reaches training passes here.
 
-        Rejects an empty train, valid or test set, node ids outside
-        [0, num_nodes), self-pairs, positives shared between train, valid and
-        test, negatives shaped other than (m, 2) or (m, k, 2), and negatives
-        that are positives of the split.
+        Rejects an empty set (negatives included), node ids outside
+        [0, num_nodes), self-pairs, negatives shaped other than (m, 2) or
+        (m, k, 2), valid or test pools too small for ``metric`` (any object
+        with ``check_pool``, e.g. ``MetricSpec``; ``source`` names the split),
+        positives shared between train, valid and test, and negatives that
+        are positives of the split.
         """
         positives = {"train": self.train_pos, "valid": self.valid_pos, "test": self.test_pos}
         named = {**positives, "valid negatives": self.valid_neg,
                  "test negatives": self.test_neg}
         for name, pairs in named.items():
             negative = name not in positives
-            if not negative and not pairs.size:
-                raise ValueError(f"split {name}: no positive pairs")
-            if pairs.size and (pairs.ndim not in ((2, 3) if negative else (2,))
-                               or pairs.shape[-1] != 2):
+            if not pairs.size:
+                kind = "negative" if negative else "positive"
+                raise ValueError(f"split {name}: no {kind} pairs")
+            if pairs.ndim not in ((2, 3) if negative else (2,)) or pairs.shape[-1] != 2:
                 shapes = "(m, 2) or (m, k, 2)" if negative else "(m, 2)"
                 raise ValueError(f"split {name}: shape {pairs.shape} is not {shapes}")
-            if pairs.size and (pairs.min() < 0 or pairs.max() >= num_nodes):
+            if pairs.min() < 0 or pairs.max() >= num_nodes:
                 raise ValueError(f"split {name}: node id out of range [0, {num_nodes}): "
                                  f"{pairs.min()} .. {pairs.max()}")
             flat = pairs.reshape(-1, 2)
             loops = flat[:, 0] == flat[:, 1]
             if loops.any():
                 raise ValueError(f"split {name}: self-pair {flat[loops][0].tolist()}")
+        if metric is not None:
+            for name, neg in (("valid", self.valid_neg), ("test", self.test_neg)):
+                metric.check_pool(neg.shape[:-1], f"neg.{name} of {source}")
         codes = {name: _unique(_codes(pairs, num_nodes)) for name, pairs in positives.items()}
         for a, b in (("train", "valid"), ("train", "test"), ("valid", "test")):
             shared = np.intersect1d(codes[a], codes[b], assume_unique=True)

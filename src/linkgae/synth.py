@@ -17,6 +17,8 @@ def structure_dominant_graph(n: int = 2000, community_size: int = 20,
                              feature_dim: int = 32, seed: int = 7) -> Graph:
     """Disjoint communities with Bernoulli(p_in) internal edges plus random
     cross-community noise edges (about ``cross_degree`` per node)."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     if community_size < 1:
         raise ValueError(f"community_size must be >= 1, got {community_size}")
     if n % community_size != 0:

@@ -110,14 +110,6 @@ def train_epoch(model: GAEModel, split: EdgeSplit, cfg: ModelConfig, *,
     return total / seen
 
 
-def check_negatives(split: EdgeSplit, metric: MetricSpec, source: str = "the split") -> None:
-    """Raise ValueError unless the split's valid and test negatives are
-    enough for ``metric`` (``MetricSpec.check_pool``); ``source`` names the
-    split in the message."""
-    for name, neg in (("valid", split.valid_neg), ("test", split.test_neg)):
-        metric.check_pool(neg.shape[:-1], f"neg.{name} of {source}")
-
-
 @dataclass
 class RunRecord:
     """Per-epoch trace plus the model-selection outcome of one run."""
@@ -156,15 +148,11 @@ def fit(model: GAEModel, split: EdgeSplit, cfg: ModelConfig, seed: int = 0,
     comes from the checkpoint with the best validation metric. The message
     operator follows the model's own conv and dtype (``model.cfg``); ``cfg``
     supplies the training settings. The first call in a process also applies
-    ``_keep_heap_warm``. No train or valid positives, or negatives too few
-    for the metric (``check_negatives``), raise ValueError before the first
-    epoch.
+    ``_keep_heap_warm``. A split that fails ``EdgeSplit.validate`` against
+    the metric raises ValueError before the first epoch.
     """
-    for name, pos in (("train", split.train_pos), ("validation", split.valid_pos)):
-        if len(pos) == 0:
-            raise ValueError(f"fit needs {name} edges")
     metric = MetricSpec.parse(cfg.metric)
-    check_negatives(split, metric)
+    split.validate(model.graph.num_nodes, metric)
     _keep_heap_warm()
     rng = np.random.default_rng(seed)
     g_train = Graph.from_edges(model.graph.num_nodes, split.train_pos)

@@ -418,6 +418,27 @@ def test_split_file_with_no_positives_in_a_set_exits_2_before_any_output(key, tm
     assert not runs.exists()
 
 
+@pytest.mark.parametrize("metric", ["mrr", "hits@10"])
+def test_split_file_with_an_empty_negative_pool_exits_2_before_any_output(metric, tmp_path,
+                                                                           capsys):
+    path = tmp_path / "split.json"
+    assert run(["split", "--dataset", TINY, "--out", str(path)]) == 0
+    blob = json.loads(path.read_text())
+    blob["neg"]["valid"] = []
+    path.write_text(json.dumps(blob))
+    runs = tmp_path / "runs"
+    rc = run(["train", "--dataset", TINY, "--split-file", str(path),
+              "--set", f"{FAST},metric={metric}", "--out-dir", str(runs)])
+    assert rc == 2
+    assert "split valid negatives: no negative pairs" in capsys.readouterr().err
+    assert not runs.exists()
+
+
+def test_synth_n_below_one_exits_2(capsys):
+    assert run(["index", "--dataset", "synth:n=-20"]) == 2
+    assert "n must be >= 1, got -20" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("cs", ["0", "-4"])
 def test_synth_community_size_below_one_exits_2(cs, capsys):
     assert run(["index", "--dataset", f"synth:n=40,cs={cs}"]) == 2

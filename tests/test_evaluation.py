@@ -146,6 +146,18 @@ def test_mrr_range_and_below_positive_negatives(rng):
         assert mrr(pos, extra) == val
 
 
+@pytest.mark.parametrize("metric, shape, message", [
+    ("hits@1", (), "hits@1 needs at least 1 negative, got 0"),
+    ("mrr", (0,), "mrr needs at least 1 negative, got 0"),
+    ("mrr", (3, 0), "mrr needs at least 1 negative per source, got 0"),
+])
+def test_check_pool_counts_the_last_axis_for_both_metrics(metric, shape, message):
+    spec = MetricSpec.parse(metric)
+    with pytest.raises(ValueError, match=message):
+        spec.check_pool(shape)
+    spec.check_pool(shape[:-1] + (3,))  # three negatives are enough for each
+
+
 def test_metric_spec_parse():
     spec = MetricSpec.parse("hits@100")
     assert spec.kind == "hits" and spec.k == 100 and str(spec) == "hits@100"

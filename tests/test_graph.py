@@ -352,6 +352,8 @@ def test_split_save_load_roundtrip(tmp_path):
     (lambda b: b["neg"]["test"].append(b["test"][0]), "test negatives: .* positive"),
     (lambda b: b["neg"]["valid"].append(b["train"][0][::-1]), "valid negatives: .* positive"),
     (lambda b: b["neg"].update(test=[[[0, 5], b["valid"][0]]]), "test negatives: .* of the split"),
+    (lambda b: b["neg"].update(valid=[]), "split valid negatives: no negative pairs"),
+    (lambda b: b["neg"].update(test=[]), "split test negatives: no negative pairs"),
 ])
 def test_split_load_rejects_bad_files(tmp_path, edit, message):
     path = tmp_path / "split.json"

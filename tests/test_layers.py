@@ -1,5 +1,6 @@
-"""Import layering: every import sits at module level, the tape and the
-metrics load no other linkgae module, and nothing loads ``scipy.linalg``.
+"""Import layering: every import sits at module level, the tape, the
+metrics and the graph load no other linkgae module, and nothing loads
+``scipy.linalg``.
 The benchmark's tracer wraps callables by name, so each (owner, attribute)
 it lists must exist."""
 
@@ -29,7 +30,7 @@ def test_no_import_below_module_level():
     assert nested == []
 
 
-@pytest.mark.parametrize("module", ["linkgae.engine", "linkgae.evaluation"])
+@pytest.mark.parametrize("module", ["linkgae.engine", "linkgae.evaluation", "linkgae.graph"])
 def test_leaf_module_loads_no_other_linkgae_module(module):
     code = (f"import sys, {module}\n"
             "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'linkgae')))")

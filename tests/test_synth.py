@@ -33,6 +33,12 @@ def test_one_draw_for_all_communities_reads_the_looped_stream(n, cs, p_in, xdeg,
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
+@pytest.mark.parametrize("n", [0, -20])
+def test_n_below_one_raises(n):
+    with pytest.raises(ValueError, match=f"n must be >= 1, got {n}"):
+        structure_dominant_graph(n=n)
+
+
 @pytest.mark.parametrize("cs", [0, -5])
 def test_community_size_below_one_raises(cs):
     with pytest.raises(ValueError, match=f"community_size must be >= 1, got {cs}"):

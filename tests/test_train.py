@@ -175,7 +175,7 @@ def test_fit_requires_validation_edges():
     g, split = trainable_graph(seed=5)
     split.valid_pos = np.empty((0, 2), dtype=np.int64)
     model = GAEModel(g, tiny_cfg(), seed=0)
-    with pytest.raises(ValueError, match="validation"):
+    with pytest.raises(ValueError, match="split valid: no positive pairs"):
         fit(model, split, tiny_cfg(), seed=0)
 
 
@@ -186,8 +186,28 @@ def test_fit_requires_train_edges_before_the_first_epoch(monkeypatch):
     g, split = trainable_graph(seed=5)
     split.train_pos = np.empty((0, 2), dtype=np.int64)
     monkeypatch.setattr(train, "train_epoch", no_epoch)
-    with pytest.raises(ValueError, match="fit needs train edges"):
+    with pytest.raises(ValueError, match="split train: no positive pairs"):
         fit(GAEModel(g, tiny_cfg(), seed=0), split, tiny_cfg(), seed=0)
+
+
+@pytest.mark.parametrize("metric, edit, message", [
+    ("hits@5", lambda s: setattr(s, "test_pos", np.empty((0, 2), dtype=np.int64)),
+     "split test: no positive pairs"),
+    ("mrr", lambda s: setattr(s, "valid_neg", np.empty((0, 2), dtype=np.int64)),
+     "split valid negatives: no negative pairs"),
+    ("hits@5", lambda s: setattr(s, "valid_neg", np.concatenate([s.valid_neg, s.train_pos[:1]])),
+     r"split valid negatives: \[\d+, \d+\] is a positive of the split"),
+], ids=["no-test-positives", "empty-valid-pool-under-mrr", "valid-negative-is-a-train-positive"])
+def test_fit_rejects_a_bad_split_before_the_first_epoch(metric, edit, message, monkeypatch):
+    def no_epoch(*a, **k):
+        raise AssertionError("train_epoch ran")
+
+    g, split = trainable_graph(seed=5)
+    edit(split)
+    monkeypatch.setattr(train, "train_epoch", no_epoch)
+    cfg = tiny_cfg(metric=metric)
+    with pytest.raises(ValueError, match=message):
+        fit(GAEModel(g, cfg, seed=0), split, cfg, seed=0)
 
 
 @pytest.mark.parametrize("shape", ["shared", "per-source"])
