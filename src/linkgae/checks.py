@@ -61,6 +61,7 @@ def _op_cases(rng: np.random.Generator) -> dict[str, tuple[list[Tensor], Callabl
         "scalar_mul": ([a, scalar], lambda t, x, s: t.scalar_mul(x, s)),
         "row_dot": ([a, c], lambda t, x, y: t.row_dot(x, y)),
         "gather_rows": ([a], lambda t, x: t.gather_rows(x, idx)),
+        "pair_product": ([a], lambda t, x: t.pair_product(x, idx, np.array([1, 2, 0, 3, 3]))),
         "relu": ([relu_in], lambda t, x: t.relu(x)),
         "dropout": ([a], lambda t, x: t.dropout(x, 0.4, np.random.default_rng(123))),
         "dense_block": (block, lambda t, x, w, b: t.dense_block(x, w, b, None, 0.0, None)),

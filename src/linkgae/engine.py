@@ -9,6 +9,8 @@ out the module; the finite-difference gradient checks live in ``checks``.
 as one node: it computes in place on one buffer and saves only ``h`` and
 one 1-byte mask (``pre > 0`` and kept by dropout) for backward, where the
 composed ops would keep five (rows x width) arrays alive.
+``Tape.pair_product`` is the decoder's input ``z[u] * z[v]`` as one node
+that saves only the two index arrays, not two gathered copies of z.
 
 All ops keep a deterministic accumulation order, so two identical runs
 produce bit-identical results.
@@ -97,6 +99,15 @@ def _dropout_mask(shape: tuple[int, int], dtype, t: int,
     n = shape[0] * shape[1]
     lanes = rng.bit_generator.random_raw((n + 3) // 4).view(np.uint16)[:n]
     return lanes.reshape(shape) >= t, dtype.type(LANES / (LANES - t))
+
+
+def _scatter_rows(idx: np.ndarray, g: np.ndarray, rows: int) -> np.ndarray:
+    """The (rows, width) sum that adds g[j] into row idx[j], in increasing j,
+    exactly as np.add.at would: one CSC one-hot product, column j a one at
+    row idx[j]."""
+    ones = np.ones(len(idx), dtype=g.dtype)
+    onehot = sp.csc_matrix((ones, idx, np.arange(len(idx) + 1)), shape=(rows, len(idx)))
+    return onehot @ g
 
 
 def _left_grad(up: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -239,14 +250,33 @@ class Tape:
 
         def bwd(up):
             if x.tracked:
-                # Column j of the CSC one-hot adds up[j] into row idx[j], in
-                # increasing j, exactly as np.add.at would.
-                ones = np.ones(len(idx), dtype=up.dtype)
-                onehot = sp.csc_matrix((ones, idx, np.arange(len(idx) + 1)),
-                                       shape=(x.shape[0], len(idx)))
-                _accumulate(x, onehot @ up)
+                _accumulate(x, _scatter_rows(idx, up, x.shape[0]))
 
         return self._emit(val, (x,), bwd)
+
+    def pair_product(self, z: Tensor, u: np.ndarray, v: np.ndarray) -> Tensor:
+        """``z[u] * z[v]`` as one node, the decoder's Hadamard input.
+
+        Values and gradients equal those of ``hadamard(gather_rows(z, u),
+        gather_rows(z, v))`` to the bit: backward re-gathers the rows from
+        ``z.value`` and scatters ``up * z[u]`` into the v rows, then
+        ``up * z[v]`` into the u rows, the chain's order. A recorded node
+        saves only the two index arrays, not two gathered copies of z.
+        """
+        u, v = (np.asarray(i, dtype=np.int64) for i in (u, v))
+        if u.ndim != 1 or v.shape != u.shape:
+            raise ValueError(f"pair_product expects two 1-D index arrays of one "
+                             f"length, got shapes {u.shape} and {v.shape}")
+        if u.size and (min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= z.shape[0]):
+            raise IndexError("pair_product index out of range")
+        val = z.value[u] * z.value[v]
+
+        def bwd(up):
+            if z.tracked:
+                _accumulate(z, _scatter_rows(v, up * z.value[u], z.shape[0]))
+                _accumulate(z, _scatter_rows(u, up * z.value[v], z.shape[0]))
+
+        return self._emit(val, (z,), bwd)
 
     def relu(self, x: Tensor) -> Tensor:
         val = np.maximum(x.value, 0.0)

@@ -82,12 +82,14 @@ class MetricSpec:
         return f"hits@{self.k}" if self.kind == "hits" else "mrr"
 
 
-def orthogonality_stats(table: np.ndarray,
-                        sample_pairs: int = 10 ** 6) -> tuple[float, float]:
+ORTHOGONALITY_PAIRS = 10 ** 6  # row pairs orthogonality_stats samples above 2000 rows
+
+
+def orthogonality_stats(table: np.ndarray) -> tuple[float, float]:
     """Mean and std of |cosine| over distinct row pairs.
 
-    All pairs when n <= 2000, otherwise ``sample_pairs`` random pairs of
-    seed 0, evaluated in blocks.
+    All pairs when n <= 2000, otherwise ``ORTHOGONALITY_PAIRS`` random pairs
+    of seed 0, evaluated in blocks.
     """
     x = np.asarray(table, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 2:
@@ -102,11 +104,11 @@ def orthogonality_stats(table: np.ndarray,
         vals = np.abs(gram[iu])
     else:
         rng = np.random.default_rng(0)
-        i = rng.integers(0, n, sample_pairs)
-        j = rng.integers(0, n - 1, sample_pairs)
+        i = rng.integers(0, n, ORTHOGONALITY_PAIRS)
+        j = rng.integers(0, n - 1, ORTHOGONALITY_PAIRS)
         j = j + (j >= i)
         chunks = []
-        for s in range(0, sample_pairs, 65536):
+        for s in range(0, ORTHOGONALITY_PAIRS, 65536):
             ii, jj = i[s:s + 65536], j[s:s + 65536]
             chunks.append(np.abs(np.sum(xn[ii] * xn[jj], axis=1)))
         vals = np.concatenate(chunks)

@@ -272,16 +272,26 @@ class EdgeSplit:
 
     @classmethod
     def load(cls, path: str | Path, num_nodes: int, metric=None) -> "EdgeSplit":
-        """Read a split written by ``save`` for a graph on ``num_nodes`` nodes;
-        ``validate`` checks it, against ``metric`` if given, naming the file."""
+        """Read a split written by ``save`` for a graph on ``num_nodes`` nodes.
+
+        Each list is read as given, never reshaped: ``validate`` checks its
+        shape and the rest, against ``metric`` if given, naming the file."""
         blob = json.loads(Path(path).read_text())
-        split = cls(
-            train_pos=np.asarray(blob["train"], dtype=np.int64).reshape(-1, 2),
-            valid_pos=np.asarray(blob["valid"], dtype=np.int64).reshape(-1, 2),
-            test_pos=np.asarray(blob["test"], dtype=np.int64).reshape(-1, 2),
-            valid_neg=np.asarray(blob["neg"]["valid"], dtype=np.int64),
-            test_neg=np.asarray(blob["neg"]["test"], dtype=np.int64),
-        )
+
+        def pairs(name: str, ids) -> Array:
+            # a cast to int64 would read 1.5 or "1" as node 1
+            try:
+                arr = np.asarray(ids)
+                if arr.size == 0 or arr.dtype.kind in "iu":
+                    return arr.astype(np.int64)
+            except ValueError:  # a ragged list
+                pass
+            raise ValueError(f"split {name}: not a rectangular list of integer ids in {path}")
+
+        neg = blob["neg"]
+        split = cls(pairs("train", blob["train"]), pairs("valid", blob["valid"]),
+                    pairs("test", blob["test"]), pairs("valid negatives", neg["valid"]),
+                    pairs("test negatives", neg["test"]))
         split.validate(num_nodes, metric, str(path))
         return split
 
@@ -290,8 +300,10 @@ class EdgeSplit:
         ``num_nodes`` nodes; every split that reaches training passes here.
 
         Rejects an empty set (negatives included), node ids outside
-        [0, num_nodes), self-pairs, negatives shaped other than (m, 2) or
-        (m, k, 2), valid or test pools too small for ``metric`` (any object
+        [0, num_nodes), self-pairs, positives shaped other than (m, 2),
+        negatives shaped other than (m, 2) or (m, k, 2), per-source
+        negatives without one candidate set per positive of their set,
+        valid or test pools too small for ``metric`` (any object
         with ``check_pool``, e.g. ``MetricSpec``; ``source`` names the split),
         positives shared between train, valid and test, and negatives that
         are positives of the split.
@@ -306,7 +318,12 @@ class EdgeSplit:
                 raise ValueError(f"split {name}: no {kind} pairs")
             if pairs.ndim not in ((2, 3) if negative else (2,)) or pairs.shape[-1] != 2:
                 shapes = "(m, 2) or (m, k, 2)" if negative else "(m, 2)"
-                raise ValueError(f"split {name}: shape {pairs.shape} is not {shapes}")
+                raise ValueError(f"split {name}: shape {pairs.shape} is not {shapes} "
+                                 f"in {source}")
+            owner = name.split()[0]
+            if pairs.ndim == 3 and len(pairs) != len(positives[owner]):
+                raise ValueError(f"split {name}: {len(pairs)} per-source candidate sets for "
+                                 f"{len(positives[owner])} {owner} positives in {source}")
             if pairs.min() < 0 or pairs.max() >= num_nodes:
                 raise ValueError(f"split {name}: node id out of range [0, {num_nodes}): "
                                  f"{pairs.min()} .. {pairs.max()}")

@@ -217,11 +217,10 @@ class GAEModel:
         """Logits for ``edges``; dropout runs only when given an ``rng``."""
         cfg, t = self.cfg, self.tensors
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        zu = tape.gather_rows(z, edges[:, 0])
-        zv = tape.gather_rows(z, edges[:, 1])
         if cfg.decoder == "dot":
-            return tape.row_dot(zu, zv)
-        h0 = tape.hadamard(zu, zv)
+            return tape.row_dot(tape.gather_rows(z, edges[:, 0]),
+                                tape.gather_rows(z, edges[:, 1]))
+        h0 = tape.pair_product(z, edges[:, 0], edges[:, 1])
         h, res = h0, h0 if cfg.decoder_residual else None
         for l in range(cfg.mlp_layers):
             h = tape.dense_block(h, t[f"dec.{l}.w"], t[f"dec.{l}.b"], res, cfg.dropout, rng)

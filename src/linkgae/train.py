@@ -71,7 +71,7 @@ def bce_loss(tape: Tape, logits: Tensor, positives: int) -> Tensor:
 def batch_loss(tape: Tape, model: GAEModel, ops: MessageOperators, pos: np.ndarray,
                neg: np.ndarray, rng: np.random.Generator | None) -> Tensor:
     """The training loss: encode, then one decode over ``pos`` followed by
-    ``neg`` (one gather per endpoint and one dropout draw per decoder layer),
+    ``neg`` (one pair product and one dropout draw per decoder layer),
     then ``bce_loss``."""
     z = model.encode(tape, ops)
     logits = model.decode(tape, z, np.concatenate([pos, neg]), rng=rng)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from linkgae import evaluation
 from linkgae.checks import verify_cn_equivalence
 from linkgae.evaluation import MetricSpec, orthogonality_stats
 from linkgae.graph import Graph
@@ -211,12 +212,13 @@ def test_orthogonality_stats_identical_rows():
     assert abs(mean - 1.0) < 1e-12 and std < 1e-12
 
 
-def test_orthogonality_stats_gaussian_expectation(rng):
+def test_orthogonality_stats_gaussian_expectation(rng, monkeypatch):
     # E|cos| ~ sqrt(2 / (pi d)) for random Gaussian rows; n > 2000 takes
-    # the seeded 1e6-pair sampling path.
+    # the seeded sampling path, here with 200,000 pairs.
+    monkeypatch.setattr(evaluation, "ORTHOGONALITY_PAIRS", 200_000)
     n, d = 4267, 1024
     table = rng.standard_normal((n, d))
-    mean, _ = orthogonality_stats(table, sample_pairs=200_000)
+    mean, _ = orthogonality_stats(table)
     expected = np.sqrt(2.0 / (np.pi * d))
     assert abs(mean - expected) < 0.01
 
@@ -284,23 +286,25 @@ def test_per_source_mrr_ranks_each_positive_against_its_own_candidates():
 
 def test_model_gradient_check_catches_a_wrong_gather_backward(monkeypatch):
     # negative control for the full-model check alone: a 5% error in the
-    # gather_rows backward must push its relative error past the 1e-4 bar
+    # gather backward of the decoder's input node, pair_product, must push
+    # its relative error past the 1e-4 bar
     from linkgae import engine
     from linkgae.checks import model_gradient_check
 
     assert model_gradient_check("gcn") < 1e-4
 
-    def bad_gather_rows(self, x, idx):
-        idx = np.asarray(idx, dtype=np.int64)
+    def bad_pair_product(self, z, u, v):
+        u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
 
         def bwd(up):
-            g = np.zeros_like(x.value)
-            np.add.at(g, idx, up * 1.05)
-            engine._accumulate(x, g)
+            g = np.zeros_like(z.value)
+            np.add.at(g, v, up * z.value[u] * 1.05)
+            np.add.at(g, u, up * z.value[v] * 1.05)
+            engine._accumulate(z, g)
 
-        return self._emit(x.value[idx], (x,), bwd)
+        return self._emit(z.value[u] * z.value[v], (z,), bwd)
 
-    monkeypatch.setattr(engine.Tape, "gather_rows", bad_gather_rows)
+    monkeypatch.setattr(engine.Tape, "pair_product", bad_pair_product)
     assert model_gradient_check("gcn") > 1e-4
 
 

@@ -351,9 +351,24 @@ def test_split_save_load_roundtrip(tmp_path):
     (lambda b: b["neg"].update(valid=[[0, 5, 6]]), "shape"),
     (lambda b: b["neg"]["test"].append(b["test"][0]), "test negatives: .* positive"),
     (lambda b: b["neg"]["valid"].append(b["train"][0][::-1]), "valid negatives: .* positive"),
-    (lambda b: b["neg"].update(test=[[[0, 5], b["valid"][0]]]), "test negatives: .* of the split"),
+    (lambda b: b["neg"].update(test=[[[0, 5], b["valid"][0]], [[1, 3], [1, 7]]]),
+     "test negatives: .* of the split"),
     (lambda b: b["neg"].update(valid=[]), "split valid negatives: no negative pairs"),
     (lambda b: b["neg"].update(test=[]), "split test negatives: no negative pairs"),
+    # one candidate set for the two test positives
+    (lambda b: b["neg"].update(test=[[[0, 5], [0, 6]]]),
+     r"split test negatives: 1 per-source candidate sets for 2 test positives in .*split\.json"),
+    # lists are read as given: a transposed, a flat and a ragged list name the file
+    (lambda b: b.update(train=[list(col) for col in zip(*b["train"])]),
+     r"split train: shape \(2, 7\) is not \(m, 2\) in .*split\.json"),
+    (lambda b: b.update(valid=[i for pair in b["valid"] for i in pair]),
+     r"split valid: shape \(2,\) is not \(m, 2\) in .*split\.json"),
+    (lambda b: b["test"][0].append(6),
+     r"split test: not a rectangular list of integer ids in .*split\.json"),
+    (lambda b: b["valid"][0].__setitem__(0, b["valid"][0][0] + 0.5),
+     r"split valid: not a rectangular list of integer ids in .*split\.json"),
+    (lambda b: b["neg"]["valid"][0].__setitem__(0, str(b["neg"]["valid"][0][0])),
+     r"split valid negatives: not a rectangular list of integer ids in .*split\.json"),
 ])
 def test_split_load_rejects_bad_files(tmp_path, edit, message):
     path = tmp_path / "split.json"

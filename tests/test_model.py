@@ -5,6 +5,7 @@ import pytest
 
 from scipy.special import expit
 
+from linkgae import evaluation
 from linkgae.config import CHOICES, ModelConfig
 from linkgae.engine import Tape, Tensor
 from linkgae.graph import Graph, SparseOperator
@@ -107,10 +108,11 @@ def test_wide_orthogonal_rows_unit_norm_and_low_coherence():
     assert mean <= 2.0 / np.sqrt(d)
 
 
-def test_large_orthogonal_init_matches_expected_coherence():
+def test_large_orthogonal_init_matches_expected_coherence(monkeypatch):
+    monkeypatch.setattr(evaluation, "ORTHOGONALITY_PAIRS", 100_000)
     rng = np.random.default_rng(4)
     table = orthogonal_rows(4267, 1024, rng)
-    mean, _ = orthogonality_stats(table, sample_pairs=100_000)
+    mean, _ = orthogonality_stats(table)
     assert 0.015 < mean < 0.045  # about 0.03 at this width
 
 
@@ -414,7 +416,8 @@ def test_mlp_decoder_records_one_block_node_per_layer():
                      np.array([[0, 1], [2, 3], [1, 4]]), rng=rng)
         ops = [node.backward.__qualname__.split(".")[1] for node in tape.nodes]
         assert ops.count("dense_block") == 3
-        assert not {"relu", "dropout"} & set(ops)
+        assert ops[0] == "pair_product"  # the Hadamard input, one node
+        assert not {"relu", "dropout", "gather_rows", "hadamard"} & set(ops)
         assert ops.count("add") == 1  # the head's bias
 
 
@@ -423,6 +426,35 @@ def test_decoder_rejects_out_of_range_edge():
     z = Tensor(np.ones((3, 2)))
     with pytest.raises(IndexError):
         model.decode(Tape(record=False), z, np.array([[0, 5]]))
+
+
+def test_mlp_decoder_rejects_a_negative_edge_id():
+    model = GAEModel(p3(), small_cfg(hidden_dim=2))
+    z = Tensor(np.ones((3, 2)), param=True)
+    for tape in (Tape(), Tape(record=False)):
+        with pytest.raises(IndexError):
+            model.decode(tape, z, np.array([[0, 1], [-1, 2]]))
+
+
+def test_recorded_mlp_decode_keeps_no_gathered_copies_of_z():
+    # What a recorded decode holds until backward: the pair product, each
+    # layer's output and one 1-byte mask per layer, about 4.75 (pairs x d)
+    # float32 arrays. Two gathered copies of z would add two more.
+    pairs, d = 4096, 128
+    rng = np.random.default_rng(0)
+    g = Graph.from_edges(1000, np.array([[0, 1], [1, 2]]))
+    model = GAEModel(g, small_cfg(input_mode="all-ones", mpnn_layers=1, hidden_dim=d,
+                                  mlp_layers=3, dropout=0.2, dtype="float32"))
+    z = Tensor(rng.standard_normal((1000, d)).astype(np.float32), param=True)
+    edges = rng.integers(0, 1000, (pairs, 2))
+    tape = Tape()
+    tracemalloc.start()
+    try:
+        model.decode(tape, z, edges, rng=rng)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 5 * pairs * d * 4
 
 
 # -- whole model ----------------------------------------------------------------

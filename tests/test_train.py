@@ -197,7 +197,10 @@ def test_fit_requires_train_edges_before_the_first_epoch(monkeypatch):
      "split valid negatives: no negative pairs"),
     ("hits@5", lambda s: setattr(s, "valid_neg", np.concatenate([s.valid_neg, s.train_pos[:1]])),
      r"split valid negatives: \[\d+, \d+\] is a positive of the split"),
-], ids=["no-test-positives", "empty-valid-pool-under-mrr", "valid-negative-is-a-train-positive"])
+    ("mrr", lambda s: setattr(s, "test_neg", np.stack([s.test_neg[:len(s.test_pos) - 1]] * 3, 1)),
+     r"split test negatives: \d+ per-source candidate sets for \d+ test positives"),
+], ids=["no-test-positives", "empty-valid-pool-under-mrr", "valid-negative-is-a-train-positive",
+        "per-source-negatives-one-short-under-mrr"])
 def test_fit_rejects_a_bad_split_before_the_first_epoch(metric, edit, message, monkeypatch):
     def no_epoch(*a, **k):
         raise AssertionError("train_epoch ran")
