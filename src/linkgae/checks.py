@@ -1,10 +1,10 @@
 """The checks ``linkgae verify`` runs, one pass/fail line each.
 
 Finite-difference gradients of every tape op and of the full training loss,
-the unrolled-encoder identity, the common-neighbor equivalence of the
-identity-weight linear encoder, CN/AA/RA against a sparse product, and the
-orthogonal initialization. Only the CLI imports this module, so it may
-import every other layer.
+the blocked decoder loss against one block, the unrolled-encoder identity,
+the common-neighbor equivalence of the identity-weight linear encoder,
+CN/AA/RA against a sparse product, and the orthogonal initialization.
+Only the CLI imports this module, so it may import every other layer.
 """
 
 from __future__ import annotations
@@ -17,11 +17,11 @@ import scipy.sparse as sp
 
 from . import heuristics
 from .config import CHOICES, ModelConfig
-from .engine import Tape, Tensor
+from .engine import BLOCK, Tape, Tensor
 from .evaluation import orthogonality_stats
 from .graph import Graph, mean_adjacency, normalize
 from .model import GAEModel, MessageOperators, orthogonal_rows
-from .train import batch_loss
+from .train import batch_loss, bce_loss, pair_loss
 
 
 def _p(arr) -> Tensor:
@@ -50,6 +50,14 @@ def _op_cases(rng: np.random.Generator) -> dict[str, tuple[list[Tensor], Callabl
     block_w = _p(rng.standard_normal((3, 3)) + 2.0 * np.eye(3))
     block_h = _p((relu_in.value - row.value) @ np.linalg.inv(block_w.value))
     block = [block_h, block_w, row]
+    # pair_blocks over BLOCK + 7 pairs, two blocks, of a logistic head
+    pair_u, pair_v = rng.integers(0, 5, (2, BLOCK + 7))
+    pair_labels = rng.integers(0, 2, (BLOCK + 7, 1)).astype(np.float64)
+
+    def pair_block(t, h, leaves, lo):
+        logits = t.add(t.matmul(h, leaves[0]), leaves[1])
+        return t.bce_with_logits(logits, Tensor(pair_labels[lo:lo + h.shape[0]]))
+
     return {
         "matmul": ([a, b], lambda t, x, y: t.matmul(x, y)),
         "matmul_column": ([a, _p(rng.standard_normal((3, 1)))], lambda t, x, y: t.matmul(x, y)),
@@ -62,6 +70,8 @@ def _op_cases(rng: np.random.Generator) -> dict[str, tuple[list[Tensor], Callabl
         "row_dot": ([a, c], lambda t, x, y: t.row_dot(x, y)),
         "gather_rows": ([a], lambda t, x: t.gather_rows(x, idx)),
         "pair_product": ([a], lambda t, x: t.pair_product(x, idx, np.array([1, 2, 0, 3, 3]))),
+        "pair_blocks": ([spmm_in, _p(rng.standard_normal((3, 1))), scalar],
+                        lambda t, x, w, b: t.pair_blocks(x, pair_u, pair_v, [w, b], pair_block)),
         "relu": ([relu_in], lambda t, x: t.relu(x)),
         "dropout": ([a], lambda t, x: t.dropout(x, 0.4, np.random.default_rng(123))),
         "dense_block": (block, lambda t, x, w, b: t.dense_block(x, w, b, None, 0.0, None)),
@@ -249,6 +259,47 @@ def model_gradient_check(conv: str = "gcn", seed: int = 0,
     return finite_difference_check(model.params(), loss)
 
 
+# (pairs, mlp_layers, decoder_residual) of decoder_block_deviation's cases
+DECODER_BLOCK_CASES = tuple(itertools.product((1, BLOCK - 1, BLOCK, 2 * BLOCK + 7),
+                                              (0, 3), (True, False)))
+
+
+def decoder_block_deviation(pairs: int, mlp_layers: int, residual: bool) -> float:
+    """Max relative deviation of ``train.pair_loss``, the MLP decoder's loss
+    in blocks of ``BLOCK`` pairs, from the one-block composition
+    ``bce_loss(decode(z, pairs))``, in float64 at dropout 0.
+
+    Compares the loss and the gradients of z and of every decoder weight,
+    each relative to its largest magnitude, for random weights, embeddings
+    and pairs on 40 nodes of width 8, a quarter of the pairs positive.
+    """
+    rng = np.random.default_rng(pairs)
+    n = 40
+    cfg = ModelConfig(hidden_dim=8, mlp_layers=mlp_layers, decoder_residual=residual,
+                      dropout=0.0, dtype="float64")
+    model = GAEModel(_feature_graph(rng, n, p=0.2), cfg, seed=0)
+    weights = model.decoder_weights()
+    for w in weights:
+        w.value = rng.standard_normal(w.shape) / np.sqrt(w.shape[0])
+    z0 = rng.standard_normal((n, cfg.hidden_dim))
+    edges = rng.integers(0, n, (pairs, 2))
+    positives = (pairs + 3) // 4
+
+    def run(loss_fn) -> list[np.ndarray]:
+        z = Tensor(z0.copy(), param=True)
+        for w in weights:
+            w.grad = None
+        tape = Tape()
+        loss = loss_fn(tape, z)
+        tape.backward(loss)
+        return [loss.value, z.grad] + [w.grad for w in weights]
+
+    blocked = run(lambda t, z: pair_loss(t, model, z, edges, positives, None))
+    whole = run(lambda t, z: bce_loss(t, model.decode(t, z, edges), positives))
+    return max(float(np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300))
+               for a, b in zip(blocked, whole))
+
+
 def unrolled_encoder_deviation() -> float:
     """Max |z| difference between ``GAEModel.encode`` on raw features (the
     propagated-feature path) and ``GAEModel.encode_layers``, in float64.
@@ -294,6 +345,11 @@ def verify(graphs: int) -> int:
         for mode in ("learnable-orthogonal", "raw"):
             err = model_gradient_check(conv, input_mode=mode)
             check(f"gradient full model ({conv}, {mode})", err < 1e-4, f"rel err {err:.2e}")
+    dev = max(decoder_block_deviation(*case) for case in DECODER_BLOCK_CASES)
+    check("decoder blocks equal one block", dev <= 1e-12,
+          f"max rel dev {dev:.2e} of the loss and the z and decoder gradients "
+          f"(<= 1e-12), float64, dropout 0, 1/{BLOCK - 1}/{BLOCK}/{2 * BLOCK + 7} "
+          "pairs, 0 and 3 layers, residual on/off")
     dev = unrolled_encoder_deviation()
     check("unrolled encoder identity", dev <= 1e-12,
           f"max |dz| {dev:.2e} against the layer-wise loop (<= 1e-12), "

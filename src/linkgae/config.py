@@ -59,8 +59,9 @@ class ModelConfig:
                 raise ValueError(f"{name} must be one of {allowed}, got {value!r}")
         if self.mpnn_layers < 1 or self.hidden_dim < 1:
             raise ValueError("mpnn_layers and hidden_dim must be >= 1")
-        if self.decoder == "mlp" and self.mlp_layers < 1:
-            raise ValueError("mlp_layers must be >= 1 for the mlp decoder")
+        if self.mlp_layers < 0:
+            raise ValueError("mlp_layers must be >= 0 (0: the head alone on the "
+                             "Hadamard product)")
         if self.batch_size < 1 or self.neg_ratio < 1 or self.epochs < 1:
             raise ValueError("batch_size, neg_ratio and epochs must be >= 1")
         for name in ("eval_every", "patience"):

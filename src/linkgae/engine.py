@@ -11,6 +11,10 @@ one 1-byte mask (``pre > 0`` and kept by dropout) for backward, where the
 composed ops would keep five (rows x width) arrays alive.
 ``Tape.pair_product`` is the decoder's input ``z[u] * z[v]`` as one node
 that saves only the two index arrays, not two gathered copies of z.
+``Tape.pair_blocks`` is a loss over that input, computed ``BLOCK`` pairs at
+a time: each block runs forward and backward on a private tape, so the node
+keeps only the per-pair gradient of ``z[u] * z[v]``, not every layer's
+(pairs x width) activations.
 
 All ops keep a deterministic accumulation order, so two identical runs
 produce bit-identical results.
@@ -75,6 +79,7 @@ class _Node:
 
 
 LANES = 1 << 16  # dropout draws one uint16 lane per element
+BLOCK = 1024  # pairs per block of Tape.pair_blocks, and per GAEModel.score_pairs decode
 
 
 def dropout_threshold(p: float) -> int:
@@ -108,6 +113,31 @@ def _scatter_rows(idx: np.ndarray, g: np.ndarray, rows: int) -> np.ndarray:
     ones = np.ones(len(idx), dtype=g.dtype)
     onehot = sp.csc_matrix((ones, idx, np.arange(len(idx) + 1)), shape=(rows, len(idx)))
     return onehot @ g
+
+
+def _pair_ids(z: Tensor, u, v, op: str) -> tuple[np.ndarray, np.ndarray]:
+    """u and v as int64, checked as two 1-D arrays of one length indexing z's rows."""
+    u, v = (np.asarray(i, dtype=np.int64) for i in (u, v))
+    if u.ndim != 1 or v.shape != u.shape:
+        raise ValueError(f"{op} expects two 1-D index arrays of one "
+                         f"length, got shapes {u.shape} and {v.shape}")
+    if u.size and (min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= z.shape[0]):
+        raise IndexError(f"{op} index out of range")
+    return u, v
+
+
+def _scatter_pair_grad(z: Tensor, u: np.ndarray, v: np.ndarray, up: np.ndarray) -> None:
+    """Accumulate d(z[u] * z[v]) applied to ``up`` into z: ``up * z[u]``
+    scattered into the v rows, then ``up * z[v]`` into the u rows, with one
+    (pairs x width) buffer for both gathered products. ``np.take`` runs in
+    "clip" mode, which the checked indices never reach, because its default
+    mode copies through a second buffer."""
+    g = z.value[u]
+    g *= up
+    _accumulate(z, _scatter_rows(v, g, z.shape[0]))
+    np.take(z.value, v, axis=0, out=g, mode="clip")
+    g *= up
+    _accumulate(z, _scatter_rows(u, g, z.shape[0]))
 
 
 def _left_grad(up: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -263,20 +293,55 @@ class Tape:
         ``up * z[v]`` into the u rows, the chain's order. A recorded node
         saves only the two index arrays, not two gathered copies of z.
         """
-        u, v = (np.asarray(i, dtype=np.int64) for i in (u, v))
-        if u.ndim != 1 or v.shape != u.shape:
-            raise ValueError(f"pair_product expects two 1-D index arrays of one "
-                             f"length, got shapes {u.shape} and {v.shape}")
-        if u.size and (min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= z.shape[0]):
-            raise IndexError("pair_product index out of range")
+        u, v = _pair_ids(z, u, v, "pair_product")
         val = z.value[u] * z.value[v]
 
         def bwd(up):
             if z.tracked:
-                _accumulate(z, _scatter_rows(v, up * z.value[u], z.shape[0]))
-                _accumulate(z, _scatter_rows(u, up * z.value[v], z.shape[0]))
+                _scatter_pair_grad(z, u, v, up)
 
         return self._emit(val, (z,), bwd)
+
+    def pair_blocks(self, z: Tensor, u: np.ndarray, v: np.ndarray,
+                    params: Sequence[Tensor],
+                    block: Callable[[Tape, Tensor, list[Tensor], int], Tensor]) -> Tensor:
+        """The 1x1 sum of ``block(tape, h, leaves, lo)`` over blocks of
+        ``BLOCK`` pairs: ``h`` is ``z[u] * z[v]`` on rows ``lo:lo + len(h)``
+        and ``leaves`` are new leaf tensors over the values of ``params``,
+        the only other tensors ``block`` may read.
+
+        Each block runs on a private tape; a recorded node runs its backward
+        right after its forward, so no block's activations outlive it. The
+        node keeps the leaves' gradients, summed in block order, and the
+        (pairs x width) gradient of ``h``; backward scales them by ``up`` and
+        scatters the latter into z once, as ``pair_product`` does.
+        """
+        u, v = _pair_ids(z, u, v, "pair_blocks")
+        params = list(params)
+        saves = self.record and (z.tracked or any(p.tracked for p in params))
+        leaves = [Tensor(p.value, param=p.tracked) for p in params]
+        grad_h = np.empty((len(u), z.shape[1]), z.dtype) if saves and z.tracked else None
+        val = np.zeros((1, 1), dtype=z.dtype)
+        for lo in range(0, len(u), BLOCK):
+            rows = slice(lo, lo + BLOCK)
+            h = Tensor(z.value[u[rows]] * z.value[v[rows]], param=z.tracked)
+            tape = Tape(record=saves)
+            loss = block(tape, h, leaves, lo)
+            val += loss.value
+            if saves:
+                tape.backward(loss)
+                if grad_h is not None:
+                    grad_h[rows] = h.grad
+
+        def bwd(up):
+            s = up[0, 0]
+            for p, leaf in zip(params, leaves):
+                if leaf.grad is not None:
+                    _accumulate(p, leaf.grad if s == 1 else leaf.grad * s)
+            if grad_h is not None:
+                _scatter_pair_grad(z, u, v, grad_h if s == 1 else grad_h * s)
+
+        return self._emit(val, (z, *params), bwd)
 
     def relu(self, x: Tensor) -> Tensor:
         val = np.maximum(x.value, 0.0)

@@ -83,21 +83,25 @@ class MetricSpec:
 
 
 ORTHOGONALITY_PAIRS = 10 ** 6  # row pairs orthogonality_stats samples above 2000 rows
+ORTHOGONALITY_BLOCK = 1 << 20  # float64 elements per gathered block of sampled rows
 
 
 def orthogonality_stats(table: np.ndarray) -> tuple[float, float]:
     """Mean and std of |cosine| over distinct row pairs.
 
     All pairs when n <= 2000, otherwise ``ORTHOGONALITY_PAIRS`` random pairs
-    of seed 0, evaluated in blocks.
+    of seed 0. Rows are normalized, and sampled pairs gathered, in blocks of
+    at most ``ORTHOGONALITY_BLOCK`` elements; a row's sum does not depend
+    on its block's row count, so the block size leaves every bit alone.
     """
-    x = np.asarray(table, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] < 2:
+    xn = np.array(table, dtype=np.float64)
+    if xn.ndim != 2 or xn.shape[0] < 2:
         raise ValueError("orthogonality_stats needs a 2-D table with >= 2 rows")
-    norms = np.linalg.norm(x, axis=1, keepdims=True)
-    norms = np.maximum(norms, 1e-30)
-    xn = x / norms
-    n = x.shape[0]
+    n = xn.shape[0]
+    rows = max(1, ORTHOGONALITY_BLOCK // max(xn.shape[1], 1))
+    for s in range(0, n, rows):  # normalize in place, one block of rows at a time
+        block = xn[s:s + rows]
+        block /= np.maximum(np.linalg.norm(block, axis=1, keepdims=True), 1e-30)
     if n <= 2000:
         gram = xn @ xn.T
         iu = np.triu_indices(n, k=1)
@@ -107,9 +111,9 @@ def orthogonality_stats(table: np.ndarray) -> tuple[float, float]:
         i = rng.integers(0, n, ORTHOGONALITY_PAIRS)
         j = rng.integers(0, n - 1, ORTHOGONALITY_PAIRS)
         j = j + (j >= i)
-        chunks = []
-        for s in range(0, ORTHOGONALITY_PAIRS, 65536):
-            ii, jj = i[s:s + 65536], j[s:s + 65536]
-            chunks.append(np.abs(np.sum(xn[ii] * xn[jj], axis=1)))
-        vals = np.concatenate(chunks)
+        vals = np.empty(ORTHOGONALITY_PAIRS)
+        for s in range(0, ORTHOGONALITY_PAIRS, rows):
+            prod = xn[i[s:s + rows]]
+            prod *= xn[j[s:s + rows]]
+            np.abs(np.sum(prod, axis=1), out=vals[s:s + rows])
     return float(vals.mean()), float(vals.std())

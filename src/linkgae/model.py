@@ -18,11 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ModelConfig
-from .engine import Tape, Tensor
+from .engine import BLOCK, Tape, Tensor
 from .graph import (Graph, SparseOperator, mean_adjacency, normalize,
                     plain_adjacency)
-
-SCORE_CHUNK = 16384  # pairs decoded at a time by GAEModel.score_pairs
 
 
 def orthogonal_rows(n: int, d: int, rng: np.random.Generator,
@@ -215,16 +213,27 @@ class GAEModel:
     def decode(self, tape: Tape, z: Tensor, edges: np.ndarray,
                rng: np.random.Generator | None = None) -> Tensor:
         """Logits for ``edges``; dropout runs only when given an ``rng``."""
-        cfg, t = self.cfg, self.tensors
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        if cfg.decoder == "dot":
+        if self.cfg.decoder == "dot":
             return tape.row_dot(tape.gather_rows(z, edges[:, 0]),
                                 tape.gather_rows(z, edges[:, 1]))
         h0 = tape.pair_product(z, edges[:, 0], edges[:, 1])
+        return self.decode_mlp(tape, h0, self.decoder_weights(), rng)
+
+    def decoder_weights(self) -> list[Tensor]:
+        """The MLP decoder's ``dec.*`` tensors, in ``tensors`` order."""
+        return [t for name, t in self.tensors.items() if name.startswith("dec.")]
+
+    def decode_mlp(self, tape: Tape, h0: Tensor, weights: list[Tensor],
+                   rng: np.random.Generator | None = None) -> Tensor:
+        """The MLP decoder's logits from its Hadamard input ``h0``, with
+        ``weights`` in ``decoder_weights`` order; dropout runs only when
+        given an ``rng``."""
+        cfg = self.cfg
         h, res = h0, h0 if cfg.decoder_residual else None
         for l in range(cfg.mlp_layers):
-            h = tape.dense_block(h, t[f"dec.{l}.w"], t[f"dec.{l}.b"], res, cfg.dropout, rng)
-        return tape.add(tape.matmul(h, t["dec.head.w"]), t["dec.head.b"])
+            h = tape.dense_block(h, weights[2 * l], weights[2 * l + 1], res, cfg.dropout, rng)
+        return tape.add(tape.matmul(h, weights[-2]), weights[-1])
 
     def embed(self, ops: MessageOperators) -> np.ndarray:
         """Eval-mode node embeddings: the encoder's forward pass on an
@@ -233,12 +242,13 @@ class GAEModel:
 
     def score_pairs(self, z: np.ndarray, edges: np.ndarray) -> np.ndarray:
         """Eval-mode logits from embeddings ``z`` (see ``embed``) for pairs of
-        shape (..., 2), returned as shape (...)."""
+        shape (..., 2), returned as shape (...). Pairs are decoded ``BLOCK``
+        at a time, the blocks training's loss uses."""
         edges = np.asarray(edges, dtype=np.int64)
         flat = edges.reshape(-1, 2)
         tape, zt = Tape(record=False), Tensor(z)
-        parts = [self.decode(tape, zt, flat[i:i + SCORE_CHUNK]).value[:, 0]
-                 for i in range(0, len(flat), SCORE_CHUNK)]
+        parts = [self.decode(tape, zt, flat[i:i + BLOCK]).value[:, 0]
+                 for i in range(0, len(flat), BLOCK)]
         scores = np.concatenate(parts) if parts else np.empty(0, dtype=self.cfg.np_dtype)
         return scores.reshape(edges.shape[:-1])
 

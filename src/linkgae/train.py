@@ -70,12 +70,33 @@ def bce_loss(tape: Tape, logits: Tensor, positives: int) -> Tensor:
 
 def batch_loss(tape: Tape, model: GAEModel, ops: MessageOperators, pos: np.ndarray,
                neg: np.ndarray, rng: np.random.Generator | None) -> Tensor:
-    """The training loss: encode, then one decode over ``pos`` followed by
-    ``neg`` (one pair product and one dropout draw per decoder layer),
-    then ``bce_loss``."""
-    z = model.encode(tape, ops)
-    logits = model.decode(tape, z, np.concatenate([pos, neg]), rng=rng)
-    return bce_loss(tape, logits, len(pos))
+    """The training loss: encode, then ``pair_loss`` over ``pos`` followed
+    by ``neg``."""
+    return pair_loss(tape, model, model.encode(tape, ops), np.concatenate([pos, neg]),
+                     len(pos), rng)
+
+
+def pair_loss(tape: Tape, model: GAEModel, z: Tensor, pairs: np.ndarray, positives: int,
+              rng: np.random.Generator | None) -> Tensor:
+    """``bce_loss`` of the decoder's logits for ``pairs`` from embeddings
+    ``z``; the first ``positives`` pairs have label 1.
+
+    The dot decoder records one decode. The MLP decoder records one
+    ``Tape.pair_blocks`` node, which runs ``decode_mlp`` and ``bce_loss`` on
+    each block of ``BLOCK`` pairs, weighing a block's mean by its share of
+    the pairs, with one dropout draw per layer and block.
+    """
+    if model.cfg.decoder == "dot":
+        return bce_loss(tape, model.decode(tape, z, pairs, rng=rng), positives)
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+
+    def block(bt: Tape, h0: Tensor, weights: list[Tensor], lo: int) -> Tensor:
+        logits = model.decode_mlp(bt, h0, weights, rng)
+        rows = logits.shape[0]
+        share = Tensor(np.full((1, 1), rows / len(pairs), dtype=logits.dtype))
+        return bt.scalar_mul(bce_loss(bt, logits, min(max(positives - lo, 0), rows)), share)
+
+    return tape.pair_blocks(z, pairs[:, 0], pairs[:, 1], model.decoder_weights(), block)
 
 
 def train_epoch(model: GAEModel, split: EdgeSplit, cfg: ModelConfig, *,

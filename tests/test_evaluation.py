@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -223,6 +225,30 @@ def test_orthogonality_stats_gaussian_expectation(rng, monkeypatch):
     assert abs(mean - expected) < 0.01
 
 
+def test_orthogonality_stats_memory_is_bounded_by_its_block(monkeypatch):
+    # 65,536-row blocks of a 4,267 x 1,024 table peaked at 1,110 MB here
+    monkeypatch.setattr(evaluation, "ORTHOGONALITY_PAIRS", 100_000)
+    table = np.random.default_rng(0).standard_normal((4267, 1024))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        orthogonality_stats(table)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20, f"{peak / 2 ** 20:.0f} MiB"
+
+
+def test_orthogonality_stats_bits_do_not_depend_on_the_block(monkeypatch):
+    monkeypatch.setattr(evaluation, "ORTHOGONALITY_PAIRS", 20_000)
+    table = np.random.default_rng(1).standard_normal((2500, 300)).astype(np.float32)
+    results = set()
+    for elements in (300, 7 * 300 + 1, 1 << 20, 1 << 30):  # 1, 7 and 3,495 rows, one block
+        monkeypatch.setattr(evaluation, "ORTHOGONALITY_BLOCK", elements)
+        results.add(tuple(float.hex(x) for x in orthogonality_stats(table)))
+    assert len(results) == 1
+
+
 def test_orthogonality_stats_needs_two_rows():
     with pytest.raises(ValueError):
         orthogonality_stats(np.ones((1, 4)))
@@ -286,26 +312,22 @@ def test_per_source_mrr_ranks_each_positive_against_its_own_candidates():
 
 def test_model_gradient_check_catches_a_wrong_gather_backward(monkeypatch):
     # negative control for the full-model check alone: a 5% error in the
-    # gather backward of the decoder's input node, pair_product, must push
-    # its relative error past the 1e-4 bar
+    # scatter that the decoder's input node, pair_blocks, runs in backward
+    # must push its relative error past the 1e-4 bar
     from linkgae import engine
     from linkgae.checks import model_gradient_check
 
     assert model_gradient_check("gcn") < 1e-4
+    scatter_rows = engine._scatter_rows
+    scattered = []
 
-    def bad_pair_product(self, z, u, v):
-        u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
+    def bad_scatter_rows(idx, g, rows):
+        scattered.append(len(idx))
+        return scatter_rows(idx, g * 1.05, rows)
 
-        def bwd(up):
-            g = np.zeros_like(z.value)
-            np.add.at(g, v, up * z.value[u] * 1.05)
-            np.add.at(g, u, up * z.value[v] * 1.05)
-            engine._accumulate(z, g)
-
-        return self._emit(z.value[u] * z.value[v], (z,), bwd)
-
-    monkeypatch.setattr(engine.Tape, "pair_product", bad_pair_product)
+    monkeypatch.setattr(engine, "_scatter_rows", bad_scatter_rows)
     assert model_gradient_check("gcn") > 1e-4
+    assert scattered  # the model's loss runs the patched scatter
 
 
 def test_model_gradient_check_passes_a_consistent_model_with_relu_kinks(monkeypatch):

@@ -7,7 +7,7 @@ from scipy.special import expit
 
 from linkgae import evaluation
 from linkgae.config import CHOICES, ModelConfig
-from linkgae.engine import Tape, Tensor
+from linkgae.engine import BLOCK, Tape, Tensor
 from linkgae.graph import Graph, SparseOperator
 from linkgae.model import (CONV_OPERATORS, GAEModel, MessageOperators, _glorot,
                            orthogonal_rows)
@@ -419,6 +419,36 @@ def test_mlp_decoder_records_one_block_node_per_layer():
         assert ops[0] == "pair_product"  # the Hadamard input, one node
         assert not {"relu", "dropout", "gather_rows", "hadamard"} & set(ops)
         assert ops.count("add") == 1  # the head's bias
+
+
+def test_mlp_decoder_with_no_layers_is_the_head_on_the_hadamard_product(rng):
+    model = GAEModel(p3(), small_cfg(mlp_layers=0, hidden_dim=4))
+    assert [k for k in model.tensors if k.startswith("dec.")] == ["dec.head.w", "dec.head.b"]
+    model.tensors["dec.head.b"].value[:] = 0.5
+    z = rng.standard_normal((3, 4))
+    edges = np.array([[0, 1], [2, 1]])
+    want = (z[edges[:, 0]] * z[edges[:, 1]]) @ model.tensors["dec.head.w"].value + 0.5
+    assert np.allclose(model.decode(Tape(record=False), Tensor(z), edges).value, want)
+    with pytest.raises(ValueError, match="mlp_layers must be >= 0"):
+        small_cfg(mlp_layers=-1)
+
+
+def test_score_pairs_decodes_in_blocks(monkeypatch, rng):
+    model = GAEModel(p3(), small_cfg(hidden_dim=4))
+    z = rng.standard_normal((3, 4))
+    edges = rng.integers(0, 3, (2 * BLOCK + 7, 2))
+    one_call = model.decode(Tape(record=False), Tensor(z), edges).value[:, 0]
+    sizes = []
+    decode = GAEModel.decode
+
+    def spy(self, tape, z, edges, rng=None):
+        sizes.append(len(edges))
+        return decode(self, tape, z, edges, rng=rng)
+
+    monkeypatch.setattr(GAEModel, "decode", spy)
+    scores = model.score_pairs(z, edges)
+    assert sizes == [BLOCK, BLOCK, 7]
+    assert np.allclose(scores, one_call, rtol=1e-12, atol=1e-12)
 
 
 def test_decoder_rejects_out_of_range_edge():

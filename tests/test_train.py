@@ -4,6 +4,7 @@ import os
 import platform
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -12,8 +13,9 @@ import pytest
 
 import linkgae
 from linkgae import train
+from linkgae.checks import DECODER_BLOCK_CASES, decoder_block_deviation
 from linkgae.config import ModelConfig
-from linkgae.engine import Adam, Tape, Tensor
+from linkgae.engine import BLOCK, Adam, Tape, Tensor
 from linkgae.evaluation import orthogonality_stats
 from linkgae.graph import Graph, random_split
 from linkgae.model import GAEModel, MessageOperators
@@ -362,19 +364,21 @@ def test_train_epoch_runs_and_updates():
 
 
 def test_train_epoch_decodes_positives_then_negatives_once(monkeypatch):
+    # the MLP decoder's loss is one pair_blocks node over the positives, then
+    # the negatives
     g, split = trainable_graph(seed=11)
     cfg = tiny_cfg(batch_size=16, dropout=0.3)
     model = GAEModel(g, cfg, seed=11)
     g_train = Graph.from_edges(g.num_nodes, split.train_pos)
     ops = MessageOperators.build(g_train, cfg.conv, cfg.np_dtype)
     decoded = []
-    decode = GAEModel.decode
+    pair_blocks = Tape.pair_blocks
 
-    def spy(self, tape, z, edges, rng=None):
-        decoded.append(np.array(edges))
-        return decode(self, tape, z, edges, rng=rng)
+    def spy(self, z, u, v, params, block):
+        decoded.append(np.stack([u, v], axis=1))
+        return pair_blocks(self, z, u, v, params, block)
 
-    monkeypatch.setattr(GAEModel, "decode", spy)
+    monkeypatch.setattr(Tape, "pair_blocks", spy)
     one_batch = dataclasses.replace(split, train_pos=split.train_pos[:16])
     train_epoch(model, one_batch, cfg, g_train=g_train, ops=ops,
                 adam=Adam(model.params(), cfg.lr), rng=np.random.default_rng(0))
@@ -383,6 +387,57 @@ def test_train_epoch_decodes_positives_then_negatives_once(monkeypatch):
     negs = train.sample_negatives(g_train, cfg.neg_ratio * 16, rng)
     assert len(decoded) == 1 and len(decoded[0]) == 16 * (1 + cfg.neg_ratio)
     assert np.array_equal(decoded[0], np.concatenate([batch, negs]))
+
+
+@pytest.mark.parametrize("pairs,layers,residual", DECODER_BLOCK_CASES)
+def test_blocked_decoder_loss_equals_one_block(pairs, layers, residual):
+    assert decoder_block_deviation(pairs, layers, residual) <= 1e-12
+
+
+def test_blocked_decoder_loss_draws_the_words_of_one_block():
+    # with d divisible by 4, dropout draws as many words per step as one
+    # block would, so the negatives of later steps do not move
+    g, split = trainable_graph()
+    model = GAEModel(g, tiny_cfg(dropout=0.3), seed=0)
+    z = Tensor(np.random.default_rng(1).standard_normal((g.num_nodes, 32)), param=True)
+    edges = np.random.default_rng(2).integers(0, g.num_nodes, (2 * BLOCK + 7, 2))
+    rngs = np.random.default_rng(3), np.random.default_rng(3)
+    tape = Tape()
+    train.pair_loss(tape, model, z, edges, 10, rngs[0])
+    model.decode(Tape(), z, edges, rng=rngs[1])
+    assert rngs[0].integers(2 ** 62) == rngs[1].integers(2 ** 62)
+
+
+def _step_transient_bytes(batch_size: int) -> int:
+    """tracemalloc's peak above the start of one recorded training step
+    (loss, then backward) on the benchmark's train-masked model."""
+    g = structure_dominant_graph(2000, seed=1)
+    split = random_split(g, seed=1)
+    cfg = ModelConfig(input_mode="learnable-orthogonal", conv="gcn", mpnn_layers=2,
+                      hidden_dim=128, mlp_layers=3, dropout=0.2, mask_input=True,
+                      batch_size=batch_size)
+    model = GAEModel(g, cfg, seed=1)
+    g_train = Graph.from_edges(g.num_nodes, split.train_pos)
+    rng = np.random.default_rng(1)
+    batch = split.train_pos[:batch_size]
+    negs = train.sample_negatives(g_train, cfg.neg_ratio * batch_size, rng)
+    ops = MessageOperators.build(g_train, cfg.conv, cfg.np_dtype).masked(batch)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tape = Tape()
+        tape.backward(train.batch_loss(tape, model, ops, batch, negs, rng))
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_step_memory_does_not_scale_with_the_decoder_activations():
+    # 4 x 1,024 against 4 x 4,096 pairs of width 128: each extra pair may add
+    # at most three float32 rows of width d (the blocked decoder keeps one)
+    small, large = _step_transient_bytes(1024), _step_transient_bytes(4096)
+    per_pair = (large - small) / ((4096 - 1024) * 4)
+    assert per_pair <= 3 * 128 * 4, f"{per_pair:.0f} bytes per extra pair"
 
 
 def nan_loss(tape, logits, positives):
