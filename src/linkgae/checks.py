@@ -2,6 +2,7 @@
 
 Finite-difference gradients of every tape op and of the full training loss,
 the blocked decoder loss against one block, the unrolled-encoder identity,
+restricted scoring against the whole graph's embedding,
 the common-neighbor equivalence of the identity-weight linear encoder,
 CN/AA/RA against a sparse product, and the orthogonal initialization.
 Only the CLI imports this module, so it may import every other layer.
@@ -329,6 +330,31 @@ def unrolled_encoder_deviation() -> float:
     return worst
 
 
+def restricted_scoring_mismatches(num_graphs: int) -> tuple[int, int]:
+    """Logits of ``score_edges`` that differ in any bit from
+    ``score_pairs(embed(ops))``, and logits compared, over the sweep's graphs.
+
+    Float64 models of width 16 with 2 layers, gcn, sage and gin, learnable
+    inputs; per graph one random pair, one (u, u) pair, five random pairs and
+    every ordered pair.
+    """
+    bad = total = 0
+    rng = np.random.default_rng(7)
+    for g, conv in itertools.product(sweep_graphs(num_graphs), CHOICES["conv"]):
+        model = GAEModel(g, ModelConfig(conv=conv, mpnn_layers=2, hidden_dim=16,
+                                        mlp_layers=2, dtype="float64"), seed=1)
+        ops = MessageOperators.build(g, conv, np.float64)
+        z = model.embed(ops)
+        n = g.num_nodes
+        u = int(rng.integers(n))
+        for pairs in (rng.integers(0, n, (1, 2)), np.array([[u, u]]),
+                      rng.integers(0, n, (5, 2)), np.argwhere(np.ones((n, n), dtype=bool))):
+            got, want = model.score_edges(ops, pairs), model.score_pairs(z, pairs)
+            bad += int(np.sum(got.view(np.int64) != want.view(np.int64)))
+            total += len(pairs)
+    return bad, total
+
+
 def verify(graphs: int) -> int:
     """Run every check, print one line each, and return the exit code:
     0 when all pass, 1 otherwise. The two sweeps draw ``graphs`` graphs."""
@@ -354,6 +380,10 @@ def verify(graphs: int) -> int:
     check("unrolled encoder identity", dev <= 1e-12,
           f"max |dz| {dev:.2e} against the layer-wise loop (<= 1e-12), "
           "gcn/sage, 1-4 layers, residual on/off, plain/masked")
+    bad, total = restricted_scoring_mismatches(graphs)
+    check("restricted scoring equals full embedding", bad == 0,
+          f"{bad} of {total} logits differ in their bits over {graphs} graphs, "
+          "float64, gcn/sage/gin")
     dev = cn_equivalence_sweep(num_graphs=graphs)
     check("common-neighbor equivalence", dev < 1e-9,
           f"max deviation {dev:.2e} over {graphs} graphs, k in 1..3")

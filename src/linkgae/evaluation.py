@@ -83,16 +83,20 @@ class MetricSpec:
 
 
 ORTHOGONALITY_PAIRS = 10 ** 6  # row pairs orthogonality_stats samples above 2000 rows
-ORTHOGONALITY_BLOCK = 1 << 20  # float64 elements per gathered block of sampled rows
+ORTHOGONALITY_BLOCK = 1 << 19  # float64 elements per block of Gram rows or gathered rows
 
 
 def orthogonality_stats(table: np.ndarray) -> tuple[float, float]:
     """Mean and std of |cosine| over distinct row pairs.
 
-    All pairs when n <= 2000, otherwise ``ORTHOGONALITY_PAIRS`` random pairs
-    of seed 0. Rows are normalized, and sampled pairs gathered, in blocks of
-    at most ``ORTHOGONALITY_BLOCK`` elements; a row's sum does not depend
-    on its block's row count, so the block size leaves every bit alone.
+    All pairs when n <= 2000, in ``triu`` order from blocks of Gram rows,
+    otherwise ``ORTHOGONALITY_PAIRS`` random pairs of seed 0. Rows are
+    normalized, Gram rows computed and sampled pairs gathered in blocks of at
+    most ``ORTHOGONALITY_BLOCK`` elements (at least two rows: numpy
+    multiplies a single row by gemv). A row's sum does not depend on its
+    block's row count, so the block size leaves the normalized rows and the
+    sampled pairs alone; a Gram block's GEMM rows may differ from the
+    whole Gram's in the last bit, on some shapes.
     """
     xn = np.array(table, dtype=np.float64)
     if xn.ndim != 2 or xn.shape[0] < 2:
@@ -103,9 +107,13 @@ def orthogonality_stats(table: np.ndarray) -> tuple[float, float]:
         block = xn[s:s + rows]
         block /= np.maximum(np.linalg.norm(block, axis=1, keepdims=True), 1e-30)
     if n <= 2000:
-        gram = xn @ xn.T
-        iu = np.triu_indices(n, k=1)
-        vals = np.abs(gram[iu])
+        vals = np.empty(n * (n - 1) // 2)
+        at, gram_rows = 0, max(2, ORTHOGONALITY_BLOCK // n)
+        for s in range(0, n - 1, gram_rows):  # the last row has no pair after it
+            for i, row in enumerate(xn[s:s + gram_rows] @ xn.T, start=s):
+                np.abs(row[i + 1:], out=vals[at:at + n - 1 - i])
+                at += n - 1 - i
+            del row  # a view that would keep this block alive through the next product
     else:
         rng = np.random.default_rng(0)
         i = rng.integers(0, n, ORTHOGONALITY_PAIRS)
@@ -116,4 +124,7 @@ def orthogonality_stats(table: np.ndarray) -> tuple[float, float]:
             prod = xn[i[s:s + rows]]
             prod *= xn[j[s:s + rows]]
             np.abs(np.sum(prod, axis=1), out=vals[s:s + rows])
-    return float(vals.mean()), float(vals.std())
+    mean = vals.mean()
+    vals -= mean  # np.std's steps in place, without its second vector
+    vals *= vals
+    return float(mean), float(np.sqrt(vals.sum() / len(vals)))

@@ -7,7 +7,8 @@ This module provides:
   feature file
 - normalize: the symmetrically normalized adjacency with self-loops
 - mean_adjacency / plain_adjacency: row-normalized and raw 0/1 operators
-- SparseOperator: a fixed sparse matrix with deterministic dense products
+- SparseOperator: a fixed sparse matrix with deterministic dense products;
+  ``restrict`` cuts stacked products down to a row set's receptive field
 - random_split / sample_negatives: edge splits and uniform non-edge
   sampling, plus a JSON split cache
 """
@@ -189,6 +190,69 @@ class SparseOperator:
             return self.matvec(x)
         self._check(x, self.shape[0], "spmm^T")
         return self.mat.T @ x
+
+    def restrict(self, rows: Array | None, depth: int
+                 ) -> tuple[list[tuple["SparseOperator", Array | None]], Array | None]:
+        """``depth`` stacked products ``x <- self @ x``, cut down to what the
+        last product's ``rows`` (sorted, distinct ids; None for all) depend on.
+
+        Walking down from ``rows``, each product computes only the rows the
+        one above reads: its field, those rows and every column they store.
+        A product whose field is every node runs on ``self`` for every row,
+        and so does each product below it. Returns ``(layers, field)``: per
+        product, the first first, ``(op, rows)``, where ``op`` maps the
+        product's input rows to its ``rows`` (None: every node); and the first
+        product's input rows (None: every node). A cut ``op`` holds its rows'
+        entries, explicit zeros included, in their order, so row i of its
+        product is row ``rows[i]`` of ``matvec`` to the bit. The operator is
+        square with a symmetric pattern, as every operator built from a
+        ``Graph`` is: a node outside ``rows`` is in their field when its own
+        row stores a column in ``rows``, which is the cheaper test when most
+        entries lie in ``rows``.
+        """
+        n = self.shape[0]
+        indptr, cols = self.mat.indptr, self.mat.indices
+        rows = None if rows is None or len(rows) == n else rows
+        cut = []  # the cut products, the last first: rows, indptr, columns, values, field
+        while len(cut) < depth and rows is not None:
+            in_field = np.zeros(n, dtype=bool)  # a mask over n: no sort, no set union
+            in_field[rows] = True
+            if 2 * int(np.sum(indptr[rows + 1] - indptr[rows])) > self.mat.nnz:
+                out_ptr, out_take = self._entries(np.flatnonzero(~in_field))
+                reached = np.zeros(len(out_take) + 1, dtype=np.int64)
+                np.cumsum(in_field[cols[out_take]], out=reached[1:])
+                if np.all(reached[out_ptr[1:]] > reached[out_ptr[:-1]]):
+                    rows = None
+                    break
+            sub_indptr, take = self._entries(rows)
+            sub_cols = cols[take]
+            in_field[sub_cols] = True
+            if in_field.all():
+                rows = None
+                break
+            cut.append((rows, sub_indptr, sub_cols, self.mat.data[take], in_field))
+            rows = np.flatnonzero(in_field)
+        layers = []
+        for i, (out, sub_indptr, sub_cols, data, in_field) in enumerate(cut):
+            width = n  # columns stay ids when the input is every node
+            if rows is not None or i < len(cut) - 1:  # the input is the field
+                position = np.cumsum(in_field, dtype=cols.dtype) - 1
+                sub_cols, width = position[sub_cols], int(position[-1]) + 1
+            sub = sp.csr_matrix((data, sub_cols, sub_indptr), shape=(len(out), width))
+            layers.append((SparseOperator(sub), out))
+        layers += [(self, None)] * (depth - len(cut))
+        return layers[::-1], rows
+
+    def _entries(self, rows: Array) -> tuple[Array, Array]:
+        """Row pointers of ``rows``' own entries, from 0, and the positions of
+        those entries in this matrix, both int64 (numpy indexes with intp)."""
+        starts = self.mat.indptr[rows]
+        counts = self.mat.indptr[rows + 1] - starts
+        ptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(counts, out=ptr[1:])
+        take = np.repeat(starts - ptr[:-1], counts)
+        take += np.arange(len(take))
+        return ptr, take
 
     def without_edges(self, edges: Array) -> "SparseOperator":
         """Copy with the given undirected edges' values set to zero.

@@ -8,7 +8,8 @@ every layer (initial residual). On raw features a linear GCN/SAGE encoder
 is computed as propagated features times one product of its weights
 (``GAEModel._encode_propagated``). The decoder scores node pairs either by
 dot product or with a residual MLP over the Hadamard product of the
-endpoint embeddings.
+endpoint embeddings. ``score_edges`` encodes only the rows its pairs'
+endpoints depend on (``encode`` with ``nodes``).
 """
 
 from __future__ import annotations
@@ -45,6 +46,14 @@ def orthogonal_rows(n: int, d: int, rng: np.random.Generator,
 def _glorot(rows: int, cols: int, rng: np.random.Generator, dtype) -> np.ndarray:
     std = np.sqrt(2.0 / (rows + cols))
     return (rng.standard_normal((rows, cols)) * std).astype(dtype)
+
+
+def _positions(within: np.ndarray | None, rows: np.ndarray | None) -> np.ndarray | None:
+    """Where the sorted ids ``rows`` sit in the sorted ids ``within``; None
+    stands for every node."""
+    if rows is None or within is None:
+        return rows
+    return np.searchsorted(within, rows)
 
 
 CONV_OPERATORS = {"gcn": normalize, "sage": mean_adjacency, "gin": plain_adjacency}
@@ -133,36 +142,67 @@ class GAEModel:
                 and cfg.conv in ("gcn", "sage")
                 and self.features.shape[1] <= cfg.hidden_dim)
 
-    def encode(self, tape: Tape, ops: MessageOperators) -> Tensor:
-        if self.propagates_features:
-            return self._encode_propagated(tape, ops)
-        z0 = (self.tensors["input.table"] if self.features is None
-              else tape.matmul(self.features, self.tensors["input.w_proj"]))
-        return self.encode_layers(tape, ops, z0)
+    def encode(self, tape: Tape, ops: MessageOperators,
+               nodes: np.ndarray | None = None) -> Tensor:
+        """Node embeddings; given ``nodes`` (sorted, distinct ids), only their
+        rows, in that order, unless the last layer reads every node: then
+        every row, as without ``nodes`` (a caller tells them apart by length).
 
-    def encode_layers(self, tape: Tape, ops: MessageOperators, z0: Tensor) -> Tensor:
-        """The encoder layer by layer from the layer-0 representation ``z0``."""
+        An output row depends only on the row's receptive field, so, walking
+        down from ``nodes``, each layer computes only the rows the layer above
+        reads (``SparseOperator.restrict``); a layer that reads every node
+        runs on ``ops.op`` itself, for every row. The rows take the same
+        sparse row sums, elementwise steps and GEMMs as the whole graph's.
+        """
+        if self.propagates_features:
+            return self._encode_propagated(tape, ops, nodes)
+        layers, rows = ops.op.restrict(nodes, self.cfg.mpnn_layers)
+        if self.features is None:
+            z0 = self.tensors["input.table"]
+            z0 = z0 if rows is None else tape.gather_rows(z0, rows)
+        else:
+            x = self.features if rows is None else Tensor(self.features.value[rows])
+            z0 = tape.matmul(x, self.tensors["input.w_proj"])
+        plan, below = [], rows
+        for op, out in layers:
+            plan.append((op, _positions(below, out), _positions(rows, out)))
+            below = out
+        return self.encode_layers(tape, ops, z0, plan)
+
+    def encode_layers(self, tape: Tape, ops: MessageOperators, z0: Tensor,
+                      plan: list | None = None) -> Tensor:
+        """The encoder layer by layer from the layer-0 representation ``z0``.
+
+        ``plan`` (see ``encode``) gives each layer its operator and, as
+        positions or None for all, its own-term rows in the layer's input and
+        its residual rows in ``z0``; without one every layer runs on
+        ``ops.op`` over every node."""
         cfg = self.cfg
         z = z0
-        for l in range(cfg.mpnn_layers):
+        for l, (op, own, res) in enumerate(plan or [(ops.op, None, None)] * cfg.mpnn_layers):
             p = {name: self.tensors[f"enc.{l}.{name}"] for name in CONV_PARAMS[cfg.conv]}
+            mine = z if own is None or cfg.conv == "gcn" else tape.gather_rows(z, own)
             if cfg.conv == "gcn":
-                c = tape.matmul(tape.spmm(ops.op, z), p["w"])
+                c = tape.matmul(tape.spmm(op, z), p["w"])
             elif cfg.conv == "sage":
-                own = tape.matmul(z, p["w_self"])
-                c = tape.add(own, tape.matmul(tape.spmm(ops.op, z), p["w_neigh"]))
+                c = tape.add(tape.matmul(mine, p["w_self"]),
+                             tape.matmul(tape.spmm(op, z), p["w_neigh"]))
             else:  # gin: 2-layer MLP on (1+eps)*z + sum-aggregate(z)
-                mixed = tape.add(tape.add(z, tape.scalar_mul(z, p["eps"])),
-                                 tape.spmm(ops.op, z))
+                mixed = tape.add(tape.add(mine, tape.scalar_mul(mine, p["eps"])),
+                                 tape.spmm(op, z))
                 h = tape.dense_block(mixed, p["w1"], p["b1"], None, 0.0, None)
                 c = tape.add(tape.matmul(h, p["w2"]), p["b2"])
             if not cfg.linear_encoder and l < cfg.mpnn_layers - 1:
                 c = tape.relu(c)
-            z = tape.add(c, z0) if cfg.encoder_residual else c
+            if cfg.encoder_residual:
+                c = tape.add(c, z0 if res is None else tape.gather_rows(z0, res))
+            z = c
         return tape.l2_normalize(z) if cfg.normalize_embeddings else z
 
-    def _encode_propagated(self, tape: Tape, ops: MessageOperators) -> Tensor:
-        """The linear GCN/SAGE encoder on raw features x, as one GEMM.
+    def _encode_propagated(self, tape: Tape, ops: MessageOperators,
+                           nodes: np.ndarray | None = None) -> Tensor:
+        """The linear GCN/SAGE encoder on raw features x, as one GEMM, on
+        the rows ``nodes`` of the propagated features (all when None).
 
         With z_0 = x W_proj and z_l = M z_{l-1} W_neigh,l + z_{l-1} W_self,l
         (+ z_0 with the residual), z_L = sum_k (M^k x) C_k exactly. The
@@ -207,7 +247,7 @@ class GAEModel:
             hit = (ops.op, x, np.concatenate([feats[k] for k in keep], axis=1))
             hit[2].flags.writeable = False
             self._propagated = hit
-        z = tape.matmul(Tensor(hit[2]), stacked)
+        z = tape.matmul(Tensor(hit[2] if nodes is None else hit[2][nodes]), stacked)
         return tape.l2_normalize(z) if cfg.normalize_embeddings else z
 
     def decode(self, tape: Tape, z: Tensor, edges: np.ndarray,
@@ -255,9 +295,26 @@ class GAEModel:
     def score_edges(self, ops: MessageOperators, edges: np.ndarray) -> np.ndarray:
         """Eval-mode logits for pairs of shape (..., 2), returned as shape (...).
 
-        Encodes the graph on every call; to score several sets of pairs with
-        the same weights, ``embed`` once and call ``score_pairs``."""
-        return self.score_pairs(self.embed(ops), edges)
+        Encodes only the rows the pairs' endpoints depend on (``encode`` with
+        ``nodes``), so a few pairs cost a few receptive fields; a layer that
+        reads every node runs on ``ops.op`` itself, so a pool that covers the
+        graph costs one whole encode. The scores equal
+        ``score_pairs(embed(ops), edges)`` to the bit wherever BLAS computes a
+        product's row alike for any row count (on OpenBLAS's Haswell kernels,
+        at widths 16, 32, 64 or 128, not at some narrow ones such as 8). A
+        lone endpoint is encoded with a second node, as numpy multiplies a
+        single row by gemv. To score several sets of pairs with the same
+        weights, ``embed`` once and call ``score_pairs``."""
+        edges = np.asarray(edges, dtype=np.int64)
+        n = self.graph.num_nodes
+        if edges.size and (edges.min() < 0 or edges.max() >= n):
+            raise IndexError(f"score_edges node id out of range for {n} nodes")
+        used = np.zeros(n, dtype=bool)
+        used[edges.ravel()] = True
+        if n > 1 and np.count_nonzero(used) == 1:
+            used[int(used[0])] = True  # node 0, or node 1 when the endpoint is 0
+        z = self.encode(Tape(record=False), ops, np.flatnonzero(used)).value
+        return self.score_pairs(z, edges if len(z) == n else (np.cumsum(used) - 1)[edges])
 
     def snapshot(self) -> list[np.ndarray]:
         return [p.value.copy() for p in self.params()]

@@ -249,6 +249,43 @@ def test_orthogonality_stats_bits_do_not_depend_on_the_block(monkeypatch):
     assert len(results) == 1
 
 
+def _whole_gram_stats(table: np.ndarray) -> tuple[float, float]:
+    """The exact path as one n x n Gram and its gathered upper triangle."""
+    xn = np.array(table, dtype=np.float64)
+    xn /= np.maximum(np.linalg.norm(xn, axis=1, keepdims=True), 1e-30)
+    vals = np.abs((xn @ xn.T)[np.triu_indices(len(xn), k=1)])
+    return float(vals.mean()), float(vals.std())
+
+
+@pytest.mark.parametrize("shape, dtype", [((2000, 128), np.float32), ((1000, 7), np.float64),
+                                          ((2, 3), np.float64)])
+def test_orthogonality_stats_exact_path_keeps_the_whole_grams_bits(shape, dtype):
+    table = np.random.default_rng(3).standard_normal(shape).astype(dtype)
+    got, want = orthogonality_stats(table), _whole_gram_stats(table)
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
+@pytest.mark.parametrize("shape", [(1999, 64), (700, 300), (3, 5), (1025, 16)])
+def test_orthogonality_stats_exact_path_is_within_rounding_elsewhere(shape):
+    # a block's GEMM rows may differ from the whole Gram's in the last bit
+    table = np.random.default_rng(4).standard_normal(shape)
+    for got, want in zip(orthogonality_stats(table), _whole_gram_stats(table)):
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def test_orthogonality_stats_exact_path_holds_one_triangle_not_the_gram():
+    # the whole Gram, its triu_indices and the gathered triangle peaked at 93.5 MiB
+    table = np.random.default_rng(0).standard_normal((2000, 128)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        orthogonality_stats(table)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * 2 ** 20, f"{peak / 2 ** 20:.1f} MiB"
+
+
 def test_orthogonality_stats_needs_two_rows():
     with pytest.raises(ValueError):
         orthogonality_stats(np.ones((1, 4)))

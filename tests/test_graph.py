@@ -278,6 +278,70 @@ def test_without_edges_zeroes_both_directions():
     assert adj.mat.toarray()[0, 1] != 0.0  # original operator is unchanged
 
 
+# -- restriction to a receptive field -----------------------------------------
+
+def path(n: int) -> Graph:
+    return Graph.from_edges(n, np.stack([np.arange(n - 1), np.arange(1, n)], axis=1))
+
+
+@pytest.mark.parametrize("build", [normalize, mean_adjacency, plain_adjacency])
+def test_restricted_products_equal_the_whole_products_rows(build, rng):
+    g = random_graph(rng, n_min=40, n_max=60, p=0.04)
+    n = g.num_nodes
+    adj = build(g).without_edges(g.edge_list()[::4])  # explicit zeros stay in the rows
+    x = rng.standard_normal((n, 8))
+    for k in (1, 3, 10, n - 3):
+        rows = np.sort(rng.choice(n, k, replace=False))
+        layers, field = adj.restrict(rows, 3)
+        want = [x]
+        for _ in range(3):
+            want.append(adj.matvec(want[-1]))
+        z = x if field is None else x[field]
+        for (op, out), w in zip(layers, want[1:]):
+            z = op.matvec(z)
+            assert z.tobytes() == (w if out is None else w[out]).tobytes()
+            if out is not None:
+                kept = adj.mat.indptr[out + 1] - adj.mat.indptr[out]
+                assert op.mat.nnz == kept.sum()
+        top = layers[-1][1]  # None when the last product reads every node
+        assert top is None or np.array_equal(top, rows)
+
+
+def test_restrict_walks_the_field_down_one_hop_per_product():
+    adj = normalize(path(10))
+    layers, field = adj.restrict(np.array([0]), 2)
+    assert [out.tolist() for _, out in layers] == [[0, 1], [0]]
+    assert field.tolist() == [0, 1, 2]
+    assert [op.shape for op, _ in layers] == [(2, 3), (1, 2)]
+
+
+def test_a_product_whose_field_is_every_node_runs_whole():
+    adj = normalize(path(5))
+    layers, field = adj.restrict(np.array([2]), 3)  # fields {1, 2, 3}, then every node
+    assert field is None
+    assert layers[0] == (adj, None) and layers[1] == (adj, None)
+    cut, out = layers[2]
+    assert out.tolist() == [2] and cut.shape == (1, 5)  # its input is every node: ids
+
+
+@pytest.mark.parametrize("build", [normalize, mean_adjacency, plain_adjacency])
+def test_a_large_row_set_asks_the_rows_outside_whether_they_reach_in(build):
+    # a path 0-5 and isolated nodes 6 and 7; most entries lie in the rows
+    g = Graph.from_edges(8, np.stack([np.arange(5), np.arange(1, 6)], axis=1))
+    layers, field = build(g).restrict(np.array([0, 1, 2, 3, 4, 6]), 1)
+    assert field.tolist() == [0, 1, 2, 3, 4, 5, 6]  # 5 reaches in, 7 does not
+    assert layers[0][1].tolist() == [0, 1, 2, 3, 4, 6] and layers[0][0].shape == (6, 7)
+    layers, field = build(g).restrict(np.array([0, 1, 2, 3, 4, 6, 7]), 1)
+    assert field is None and layers[0][1] is None  # 5 reaches in: every node
+
+
+@pytest.mark.parametrize("rows", [None, np.arange(7)])
+def test_restricting_to_every_row_returns_the_operator(rows):
+    adj = mean_adjacency(path(7))
+    layers, field = adj.restrict(rows, 2)
+    assert field is None and all(op is adj and out is None for op, out in layers)
+
+
 # -- splitting ----------------------------------------------------------------
 
 def ten_edge_graph() -> Graph:

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -518,3 +519,109 @@ def test_model_scores_are_deterministic(rng):
     ops = MessageOperators.build(g, "gcn", np.float64)
     edges = g.edge_list()[:4]
     assert np.array_equal(a.score_edges(ops, edges), b.score_edges(ops, edges))
+
+
+# -- scoring from the pairs' receptive field ----------------------------------------
+
+def _with_isolated_nodes(rng, features: int) -> Graph:
+    """50 connected-ish nodes and 10 isolated ones, with raw features."""
+    n = 60
+    iu, ju = np.triu_indices(50, k=1)
+    keep = rng.random(len(iu)) < 0.05
+    return Graph.from_edges(n, np.stack([iu[keep], ju[keep]], axis=1),
+                            rng.standard_normal((n, features)))
+
+
+def _pools(rng, n: int, isolated: int) -> list[np.ndarray]:
+    return [rng.integers(0, n, (7, 2)), rng.integers(0, n, (3, 4, 2)),
+            np.array([[5, 5]]), np.array([[isolated, isolated]]), np.array([[isolated, 3]]),
+            np.array([[0, 1]]), np.empty((0, 2), dtype=np.int64),
+            np.stack([np.arange(n), np.arange(n)[::-1]], axis=1)]
+
+
+INPUTS = {  # input name -> (input mode, feature width); hidden width 16
+    "learnable": ("learnable-orthogonal", 5), "fixed": ("fixed-orthogonal", 5),
+    "all-ones": ("all-ones", 5), "random-uniform": ("random-uniform", 5),
+    "raw-propagated": ("raw", 5), "raw-wide": ("raw", 24),
+}
+
+
+@pytest.mark.parametrize("inputs", list(INPUTS))
+@pytest.mark.parametrize("conv", ["gcn", "sage", "gin"])
+def test_score_edges_is_bit_identical_to_scoring_the_whole_embedding(conv, inputs, rng):
+    mode, width = INPUTS[inputs]
+    g = _with_isolated_nodes(rng, width)
+    checked = 0
+    for linear, residual, normalized, dtype, masked in itertools.product(
+            (True, False), (True, False), (True, False), ("float32", "float64"), (False, True)):
+        cfg = small_cfg(input_mode=mode, conv=conv, mpnn_layers=3, linear_encoder=linear,
+                        encoder_residual=residual, normalize_embeddings=normalized,
+                        dtype=dtype)
+        model = GAEModel(g, cfg, seed=3)
+        ops = MessageOperators.build(g, conv, cfg.np_dtype)
+        if masked:
+            ops = ops.masked(g.edge_list()[::3])
+        z = model.embed(ops)
+        for pairs in _pools(rng, g.num_nodes, isolated=55):
+            got, want = model.score_edges(ops, pairs), model.score_pairs(z, pairs)
+            assert got.shape == want.shape == pairs.shape[:-1] and got.dtype == want.dtype
+            assert [x.hex() for x in got.ravel().tolist()] == \
+                [x.hex() for x in want.ravel().tolist()], (linear, residual, normalized,
+                                                          dtype, masked, pairs.tolist())
+            checked += 1
+    assert checked == 32 * 8
+
+
+@pytest.mark.parametrize("bad", [-1, 60])
+def test_score_edges_rejects_node_ids_outside_the_graph(bad, rng):
+    g = _with_isolated_nodes(rng, 5)
+    model = GAEModel(g, small_cfg())
+    ops = MessageOperators.build(g, "gcn", np.float64)
+    with pytest.raises(IndexError, match="out of range"):
+        model.score_edges(ops, np.array([[0, 1], [bad, 2]]))
+
+
+@pytest.mark.parametrize("conv", ["sage", "gin"])
+def test_restricted_encode_has_the_whole_encodes_gradients(conv, rng):
+    g = _with_isolated_nodes(rng, 5)
+    model = GAEModel(g, small_cfg(conv=conv, mpnn_layers=2, normalize_embeddings=True), seed=1)
+    ops = MessageOperators.build(g, conv, np.float64)
+    nodes = np.array([0, 3, 17, 55])
+    w = Tensor(rng.standard_normal((len(nodes), 16)))
+    grads = []
+    for restricted in (True, False):
+        for p in model.params():
+            p.grad = None
+        tape = Tape()
+        z = (model.encode(tape, ops, nodes) if restricted
+             else tape.gather_rows(model.encode(tape, ops), nodes))
+        tape.backward(tape.sum(tape.hadamard(z, w)))
+        grads.append([np.zeros_like(p.value) if p.grad is None else p.grad
+                      for p in model.params()])
+    for a, b in zip(*grads):
+        assert np.allclose(a, b, rtol=1e-12, atol=1e-14)
+
+
+def test_fifty_pairs_on_a_large_graph_reach_few_rows_of_the_last_layer(monkeypatch):
+    from linkgae.synth import structure_dominant_graph
+    g = structure_dominant_graph(20000, seed=1)
+    model = GAEModel(g, small_cfg(hidden_dim=16, dtype="float32"), seed=1)
+    ops = MessageOperators.build(g, "gcn", np.float32)
+    rows = []
+    original = SparseOperator.matvec
+    monkeypatch.setattr(SparseOperator, "matvec",
+                        lambda self, x: rows.append(self.shape[0]) or original(self, x))
+    model.score_edges(ops, g.edge_list()[::1000][:50])
+    assert len(rows) == 2 and rows[-1] < g.num_nodes / 4, rows
+
+
+def test_a_pool_covering_every_node_runs_on_the_operator_itself(rng, monkeypatch):
+    g = _with_isolated_nodes(rng, 5)
+    model = GAEModel(g, small_cfg(conv="sage", mpnn_layers=3), seed=1)
+    ops = MessageOperators.build(g, "sage", np.float64)
+    seen = []
+    original = SparseOperator.matvec
+    monkeypatch.setattr(SparseOperator, "matvec",
+                        lambda self, x: seen.append(self) or original(self, x))
+    model.score_edges(ops, np.stack([np.arange(60), np.arange(60)[::-1]], axis=1))
+    assert len(seen) == 3 and all(op is ops.op for op in seen)
