@@ -204,26 +204,15 @@ class SparseOperator:
         product's input rows to its ``rows`` (None: every node); and the first
         product's input rows (None: every node). A cut ``op`` holds its rows'
         entries, explicit zeros included, in their order, so row i of its
-        product is row ``rows[i]`` of ``matvec`` to the bit. The operator is
-        square with a symmetric pattern, as every operator built from a
-        ``Graph`` is: a node outside ``rows`` is in their field when its own
-        row stores a column in ``rows``, which is the cheaper test when most
-        entries lie in ``rows``.
+        product is row ``rows[i]`` of ``matvec`` to the bit.
         """
         n = self.shape[0]
-        indptr, cols = self.mat.indptr, self.mat.indices
+        cols = self.mat.indices
         rows = None if rows is None or len(rows) == n else rows
         cut = []  # the cut products, the last first: rows, indptr, columns, values, field
         while len(cut) < depth and rows is not None:
             in_field = np.zeros(n, dtype=bool)  # a mask over n: no sort, no set union
             in_field[rows] = True
-            if 2 * int(np.sum(indptr[rows + 1] - indptr[rows])) > self.mat.nnz:
-                out_ptr, out_take = self._entries(np.flatnonzero(~in_field))
-                reached = np.zeros(len(out_take) + 1, dtype=np.int64)
-                np.cumsum(in_field[cols[out_take]], out=reached[1:])
-                if np.all(reached[out_ptr[1:]] > reached[out_ptr[:-1]]):
-                    rows = None
-                    break
             sub_indptr, take = self._entries(rows)
             sub_cols = cols[take]
             in_field[sub_cols] = True

@@ -300,9 +300,9 @@ class GAEModel:
         reads every node runs on ``ops.op`` itself, so a pool that covers the
         graph costs one whole encode. The scores equal
         ``score_pairs(embed(ops), edges)`` to the bit wherever BLAS computes a
-        product's row alike for any row count (on OpenBLAS's Haswell kernels,
-        at widths 16, 32, 64 or 128, not at some narrow ones such as 8). A
-        lone endpoint is encoded with a second node, as numpy multiplies a
+        product's row alike for any row count, which depends on the BLAS
+        kernel and the widths; where it does not, rows differ in the last
+        bits. A lone endpoint is encoded with a second node, as numpy multiplies a
         single row by gemv. To score several sets of pairs with the same
         weights, ``embed`` once and call ``score_pairs``."""
         edges = np.asarray(edges, dtype=np.int64)

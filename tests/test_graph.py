@@ -325,7 +325,7 @@ def test_a_product_whose_field_is_every_node_runs_whole():
 
 
 @pytest.mark.parametrize("build", [normalize, mean_adjacency, plain_adjacency])
-def test_a_large_row_set_asks_the_rows_outside_whether_they_reach_in(build):
+def test_a_node_outside_the_rows_is_in_their_field_only_when_a_row_stores_it(build):
     # a path 0-5 and isolated nodes 6 and 7; most entries lie in the rows
     g = Graph.from_edges(8, np.stack([np.arange(5), np.arange(1, 6)], axis=1))
     layers, field = build(g).restrict(np.array([0, 1, 2, 3, 4, 6]), 1)
