@@ -70,7 +70,6 @@ def _op_cases(rng: np.random.Generator) -> dict[str, tuple[list[Tensor], Callabl
         "scalar_mul": ([a, scalar], lambda t, x, s: t.scalar_mul(x, s)),
         "row_dot": ([a, c], lambda t, x, y: t.row_dot(x, y)),
         "gather_rows": ([a], lambda t, x: t.gather_rows(x, idx)),
-        "pair_product": ([a], lambda t, x: t.pair_product(x, idx, np.array([1, 2, 0, 3, 3]))),
         "pair_blocks": ([spmm_in, _p(rng.standard_normal((3, 1))), scalar],
                         lambda t, x, w, b: t.pair_blocks(x, pair_u, pair_v, [w, b], pair_block)),
         "relu": ([relu_in], lambda t, x: t.relu(x)),

@@ -67,6 +67,8 @@ class ModelConfig:
         for name in ("eval_every", "patience"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not 0.0 <= self.lr < np.inf:  # also rejects nan; 0 freezes the parameters
+            raise ValueError(f"lr must be finite and >= 0, got {self.lr}")
         dropout_threshold(self.dropout)
         MetricSpec.parse(self.metric)
 

@@ -9,12 +9,10 @@ out the module; the finite-difference gradient checks live in ``checks``.
 as one node: it computes in place on one buffer and saves only ``h`` and
 one 1-byte mask (``pre > 0`` and kept by dropout) for backward, where the
 composed ops would keep five (rows x width) arrays alive.
-``Tape.pair_product`` is the decoder's input ``z[u] * z[v]`` as one node
-that saves only the two index arrays, not two gathered copies of z.
-``Tape.pair_blocks`` is a loss over that input, computed ``BLOCK`` pairs at
-a time: each block runs forward and backward on a private tape, so the node
-keeps only the per-pair gradient of ``z[u] * z[v]``, not every layer's
-(pairs x width) activations.
+``Tape.pair_blocks`` is a loss over the decoder's input ``z[u] * z[v]``,
+computed ``BLOCK`` pairs at a time: each block runs forward and backward on
+a private tape, so the node keeps only the per-pair gradient of
+``z[u] * z[v]``, not every layer's (pairs x width) activations.
 
 All ops keep a deterministic accumulation order, so two identical runs
 produce bit-identical results.
@@ -113,31 +111,6 @@ def _scatter_rows(idx: np.ndarray, g: np.ndarray, rows: int) -> np.ndarray:
     ones = np.ones(len(idx), dtype=g.dtype)
     onehot = sp.csc_matrix((ones, idx, np.arange(len(idx) + 1)), shape=(rows, len(idx)))
     return onehot @ g
-
-
-def _pair_ids(z: Tensor, u, v, op: str) -> tuple[np.ndarray, np.ndarray]:
-    """u and v as int64, checked as two 1-D arrays of one length indexing z's rows."""
-    u, v = (np.asarray(i, dtype=np.int64) for i in (u, v))
-    if u.ndim != 1 or v.shape != u.shape:
-        raise ValueError(f"{op} expects two 1-D index arrays of one "
-                         f"length, got shapes {u.shape} and {v.shape}")
-    if u.size and (min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= z.shape[0]):
-        raise IndexError(f"{op} index out of range")
-    return u, v
-
-
-def _scatter_pair_grad(z: Tensor, u: np.ndarray, v: np.ndarray, up: np.ndarray) -> None:
-    """Accumulate d(z[u] * z[v]) applied to ``up`` into z: ``up * z[u]``
-    scattered into the v rows, then ``up * z[v]`` into the u rows, with one
-    (pairs x width) buffer for both gathered products. ``np.take`` runs in
-    "clip" mode, which the checked indices never reach, because its default
-    mode copies through a second buffer."""
-    g = z.value[u]
-    g *= up
-    _accumulate(z, _scatter_rows(v, g, z.shape[0]))
-    np.take(z.value, v, axis=0, out=g, mode="clip")
-    g *= up
-    _accumulate(z, _scatter_rows(u, g, z.shape[0]))
 
 
 def _left_grad(up: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -284,24 +257,6 @@ class Tape:
 
         return self._emit(val, (x,), bwd)
 
-    def pair_product(self, z: Tensor, u: np.ndarray, v: np.ndarray) -> Tensor:
-        """``z[u] * z[v]`` as one node, the decoder's Hadamard input.
-
-        Values and gradients equal those of ``hadamard(gather_rows(z, u),
-        gather_rows(z, v))`` to the bit: backward re-gathers the rows from
-        ``z.value`` and scatters ``up * z[u]`` into the v rows, then
-        ``up * z[v]`` into the u rows, the chain's order. A recorded node
-        saves only the two index arrays, not two gathered copies of z.
-        """
-        u, v = _pair_ids(z, u, v, "pair_product")
-        val = z.value[u] * z.value[v]
-
-        def bwd(up):
-            if z.tracked:
-                _scatter_pair_grad(z, u, v, up)
-
-        return self._emit(val, (z,), bwd)
-
     def pair_blocks(self, z: Tensor, u: np.ndarray, v: np.ndarray,
                     params: Sequence[Tensor],
                     block: Callable[[Tape, Tensor, list[Tensor], int], Tensor]) -> Tensor:
@@ -314,9 +269,15 @@ class Tape:
         right after its forward, so no block's activations outlive it. The
         node keeps the leaves' gradients, summed in block order, and the
         (pairs x width) gradient of ``h``; backward scales them by ``up`` and
-        scatters the latter into z once, as ``pair_product`` does.
+        scatters the latter into z once, with one gathered (pairs x width)
+        buffer for both endpoints.
         """
-        u, v = _pair_ids(z, u, v, "pair_blocks")
+        u, v = (np.asarray(i, dtype=np.int64) for i in (u, v))
+        if u.ndim != 1 or v.shape != u.shape:
+            raise ValueError(f"pair_blocks expects two 1-D index arrays of one "
+                             f"length, got shapes {u.shape} and {v.shape}")
+        if u.size and (min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= z.shape[0]):
+            raise IndexError("pair_blocks index out of range")
         params = list(params)
         saves = self.record and (z.tracked or any(p.tracked for p in params))
         leaves = [Tensor(p.value, param=p.tracked) for p in params]
@@ -339,7 +300,17 @@ class Tape:
                 if leaf.grad is not None:
                     _accumulate(p, leaf.grad if s == 1 else leaf.grad * s)
             if grad_h is not None:
-                _scatter_pair_grad(z, u, v, grad_h if s == 1 else grad_h * s)
+                # gh * z[u] into the v rows, then gh * z[v] into the u rows,
+                # the order of the gather/hadamard chain's backward. np.take
+                # runs in "clip" mode, which the checked indices never reach,
+                # because its default mode copies through a second buffer.
+                gh = grad_h if s == 1 else grad_h * s
+                g = z.value[u]
+                g *= gh
+                _accumulate(z, _scatter_rows(v, g, z.shape[0]))
+                np.take(z.value, v, axis=0, out=g, mode="clip")
+                g *= gh
+                _accumulate(z, _scatter_rows(u, g, z.shape[0]))
 
         return self._emit(val, (z, *params), bwd)
 

@@ -207,41 +207,27 @@ class SparseOperator:
         product is row ``rows[i]`` of ``matvec`` to the bit.
         """
         n = self.shape[0]
-        cols = self.mat.indices
         rows = None if rows is None or len(rows) == n else rows
-        cut = []  # the cut products, the last first: rows, indptr, columns, values, field
+        cut = []  # the cut products, the last first: rows, their row slice, field
         while len(cut) < depth and rows is not None:
             in_field = np.zeros(n, dtype=bool)  # a mask over n: no sort, no set union
             in_field[rows] = True
-            sub_indptr, take = self._entries(rows)
-            sub_cols = cols[take]
-            in_field[sub_cols] = True
+            sub = self.mat[rows]
+            in_field[sub.indices] = True
             if in_field.all():
                 rows = None
                 break
-            cut.append((rows, sub_indptr, sub_cols, self.mat.data[take], in_field))
+            cut.append((rows, sub, in_field))
             rows = np.flatnonzero(in_field)
         layers = []
-        for i, (out, sub_indptr, sub_cols, data, in_field) in enumerate(cut):
-            width = n  # columns stay ids when the input is every node
-            if rows is not None or i < len(cut) - 1:  # the input is the field
-                position = np.cumsum(in_field, dtype=cols.dtype) - 1
-                sub_cols, width = position[sub_cols], int(position[-1]) + 1
-            sub = sp.csr_matrix((data, sub_cols, sub_indptr), shape=(len(out), width))
+        for i, (out, sub, in_field) in enumerate(cut):
+            if rows is not None or i < len(cut) - 1:  # the input is the field, not every node
+                position = np.cumsum(in_field, dtype=sub.indices.dtype) - 1
+                sub = sp.csr_matrix((sub.data, position[sub.indices], sub.indptr),
+                                    shape=(len(out), int(position[-1]) + 1))
             layers.append((SparseOperator(sub), out))
         layers += [(self, None)] * (depth - len(cut))
         return layers[::-1], rows
-
-    def _entries(self, rows: Array) -> tuple[Array, Array]:
-        """Row pointers of ``rows``' own entries, from 0, and the positions of
-        those entries in this matrix, both int64 (numpy indexes with intp)."""
-        starts = self.mat.indptr[rows]
-        counts = self.mat.indptr[rows + 1] - starts
-        ptr = np.zeros(len(rows) + 1, dtype=np.int64)
-        np.cumsum(counts, out=ptr[1:])
-        take = np.repeat(starts - ptr[:-1], counts)
-        take += np.arange(len(take))
-        return ptr, take
 
     def without_edges(self, edges: Array) -> "SparseOperator":
         """Copy with the given undirected edges' values set to zero.
@@ -331,6 +317,12 @@ class EdgeSplit:
         shape and the rest, against ``metric`` if given, naming the file."""
         blob = json.loads(Path(path).read_text())
 
+        def get(obj, key: str, where: str):
+            if not isinstance(obj, dict) or key not in obj:
+                raise ValueError(f"split file {path}: {where} is not a JSON object "
+                                 f"with a {key!r} key")
+            return obj[key]
+
         def pairs(name: str, ids) -> Array:
             # a cast to int64 would read 1.5 or "1" as node 1
             try:
@@ -341,10 +333,11 @@ class EdgeSplit:
                 pass
             raise ValueError(f"split {name}: not a rectangular list of integer ids in {path}")
 
-        neg = blob["neg"]
-        split = cls(pairs("train", blob["train"]), pairs("valid", blob["valid"]),
-                    pairs("test", blob["test"]), pairs("valid negatives", neg["valid"]),
-                    pairs("test negatives", neg["test"]))
+        neg = get(blob, "neg", "the top level")
+        split = cls(*(pairs(key, get(blob, key, "the top level"))
+                      for key in ("train", "valid", "test")),
+                    *(pairs(f"{key} negatives", get(neg, key, "'neg'"))
+                      for key in ("valid", "test")))
         split.validate(num_nodes, metric, str(path))
         return split
 

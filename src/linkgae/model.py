@@ -250,15 +250,13 @@ class GAEModel:
         z = tape.matmul(Tensor(hit[2] if nodes is None else hit[2][nodes]), stacked)
         return tape.l2_normalize(z) if cfg.normalize_embeddings else z
 
-    def decode(self, tape: Tape, z: Tensor, edges: np.ndarray,
-               rng: np.random.Generator | None = None) -> Tensor:
-        """Logits for ``edges``; dropout runs only when given an ``rng``."""
+    def decode(self, tape: Tape, z: Tensor, edges: np.ndarray) -> Tensor:
+        """Logits for ``edges``, without dropout (see ``train.pair_loss``)."""
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        zu, zv = tape.gather_rows(z, edges[:, 0]), tape.gather_rows(z, edges[:, 1])
         if self.cfg.decoder == "dot":
-            return tape.row_dot(tape.gather_rows(z, edges[:, 0]),
-                                tape.gather_rows(z, edges[:, 1]))
-        h0 = tape.pair_product(z, edges[:, 0], edges[:, 1])
-        return self.decode_mlp(tape, h0, self.decoder_weights(), rng)
+            return tape.row_dot(zu, zv)
+        return self.decode_mlp(tape, tape.hadamard(zu, zv), self.decoder_weights())
 
     def decoder_weights(self) -> list[Tensor]:
         """The MLP decoder's ``dec.*`` tensors, in ``tensors`` order."""

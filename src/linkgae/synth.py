@@ -21,6 +21,12 @@ def structure_dominant_graph(n: int = 2000, community_size: int = 20,
         raise ValueError(f"n must be >= 1, got {n}")
     if community_size < 1:
         raise ValueError(f"community_size must be >= 1, got {community_size}")
+    if not 0.0 <= p_in <= 1.0:
+        raise ValueError(f"p_in must be in [0, 1], got {p_in}")
+    if not 0.0 <= cross_degree < np.inf:
+        raise ValueError(f"cross_degree must be finite and >= 0, got {cross_degree}")
+    if feature_dim < 0:
+        raise ValueError(f"feature_dim must be >= 0, got {feature_dim}")
     if n % community_size != 0:
         raise ValueError("n must be a multiple of community_size")
     rng = np.random.default_rng(seed)

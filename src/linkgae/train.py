@@ -81,13 +81,13 @@ def pair_loss(tape: Tape, model: GAEModel, z: Tensor, pairs: np.ndarray, positiv
     """``bce_loss`` of the decoder's logits for ``pairs`` from embeddings
     ``z``; the first ``positives`` pairs have label 1.
 
-    The dot decoder records one decode. The MLP decoder records one
-    ``Tape.pair_blocks`` node, which runs ``decode_mlp`` and ``bce_loss`` on
-    each block of ``BLOCK`` pairs, weighing a block's mean by its share of
-    the pairs, with one dropout draw per layer and block.
+    The dot decoder, which has no dropout, records one decode. The MLP
+    decoder records one ``Tape.pair_blocks`` node, which runs ``decode_mlp``
+    and ``bce_loss`` on each block of ``BLOCK`` pairs, weighing a block's
+    mean by its share of the pairs, with one dropout draw per layer and block.
     """
     if model.cfg.decoder == "dot":
-        return bce_loss(tape, model.decode(tape, z, pairs, rng=rng), positives)
+        return bce_loss(tape, model.decode(tape, z, pairs), positives)
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
 
     def block(bt: Tape, h0: Tensor, weights: list[Tensor], lo: int) -> Tensor:

@@ -62,7 +62,9 @@ def test_loop_settings_below_one_exit_2(key, capsys):
 @pytest.mark.parametrize("override, named", [
     ("metric=hits@0", "hits@0"), ("input_mode=onehot", "input_mode"),
     ("conv=gat", "conv"), ("decoder=bilinear", "decoder"), ("dtype=float16", "dtype"),
-], ids=["metric", "input_mode", "conv", "decoder", "dtype"])
+    ("lr=nan", "lr must be"), ("lr=-0.01", "lr must be"), ("lr=inf", "lr must be"),
+], ids=["metric", "input_mode", "conv", "decoder", "dtype", "lr-nan", "lr-negative",
+        "lr-inf"])
 def test_hits_at_zero_exits_2_before_training(override, named, capsys, monkeypatch,
                                               tmp_path):
     from linkgae import train
@@ -443,6 +445,36 @@ def test_synth_n_below_one_exits_2(capsys):
 def test_synth_community_size_below_one_exits_2(cs, capsys):
     assert run(["index", "--dataset", f"synth:n=40,cs={cs}"]) == 2
     assert f"community_size must be >= 1, got {cs}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("item, named", [
+    ("xdeg=-1", "cross_degree must be finite and >= 0, got -1.0"),
+    ("fdim=-1", "feature_dim must be >= 0, got -1"),
+    ("p_in=2", "p_in must be in [0, 1], got 2.0"),
+    ("p_in=-0.5", "p_in must be in [0, 1], got -0.5"),
+])
+def test_synth_key_out_of_range_exits_2_naming_it(item, named, capsys):
+    assert run(["index", "--dataset", f"synth:n=40,cs=10,{item}"]) == 2
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda b: {k: v for k, v in b.items() if k != "neg"},
+     "the top level is not a JSON object with a 'neg' key"),
+    (lambda b: {**b, "neg": {"valid": b["neg"]["valid"]}},
+     "'neg' is not a JSON object with a 'test' key"),
+    (lambda b: list(b.values()), "the top level is not a JSON object with a 'neg' key"),
+], ids=["no-neg", "no-test-negatives", "top-level-list"])
+def test_split_file_of_the_wrong_layout_exits_2_naming_it(edit, named, tmp_path, capsys):
+    path = tmp_path / "split.json"
+    assert run(["split", "--dataset", TINY, "--out", str(path)]) == 0
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    runs = tmp_path / "runs"
+    rc = run(["train", "--dataset", TINY, "--split-file", str(path), "--set", FAST,
+              "--out-dir", str(runs)])
+    assert rc == 2
+    assert f"split file {path}: {named}" in capsys.readouterr().err
+    assert not runs.exists()
 
 
 def test_non_finite_loss_exits_1_with_one_line(capsys, monkeypatch, tmp_path):

@@ -432,56 +432,15 @@ def test_dense_block_shape_mismatches_raise():
         Tape().dense_block(h, w, Tensor(np.ones((1, 4))), None, 1.0, None)
 
 
-def _pair_ids():
-    # repeated ids, u == v pairs, and rows 45..49 never gathered
-    rng = np.random.default_rng(9)
-    u, v = rng.integers(0, 45, 300), rng.integers(0, 45, 300)
-    v[::10] = u[::10]
-    return u, v
+def test_pair_blocks_checks_its_indices_as_gather_rows_does():
+    z, w = Tensor(np.ones((4, 3)), param=True), Tensor(np.ones((3, 1)), param=True)
 
+    def block(tape, h, leaves, lo):
+        return tape.sum(tape.matmul(h, leaves[0]))
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_pair_product_equals_the_gather_hadamard_chain_to_the_bit(dtype):
-    def run(pair_product):
-        rng = np.random.default_rng(12)
-        z = Tensor(rng.standard_normal((50, 7)).astype(dtype), param=True)
-        tape = Tape()
-        out = pair_product(tape, z, *_pair_ids())
-        weights = Tensor(rng.standard_normal(out.shape).astype(dtype))
-        # z's own term runs first in backward, so the two scatters add into
-        # a started buffer and their order shows in the bits
-        own = Tensor(rng.standard_normal(z.shape).astype(dtype))
-        tape.backward(tape.add(tape.sum(tape.hadamard(out, weights)),
-                               tape.sum(tape.hadamard(z, own))))
-        return out.value, z.grad
-
-    def chain(tape, z, u, v):
-        return tape.hadamard(tape.gather_rows(z, u), tape.gather_rows(z, v))
-
-    (want_val, want_grad), (val, grad) = run(chain), run(Tape.pair_product)
-    assert val.dtype == grad.dtype == dtype
-    assert _hex(val) == _hex(want_val)
-    assert _hex(grad) == _hex(want_grad)
-
-
-def test_pair_product_saves_only_its_index_arrays():
-    z = Tensor(np.random.default_rng(2).standard_normal((50, 7)), param=True)
-    tape = Tape()
-    tape.pair_product(z, *_pair_ids())
-    saved = [c.cell_contents for c in tape.nodes[-1].backward.__closure__]
-    arrays = [a for a in saved if isinstance(a, np.ndarray)]
-    assert sorted(a.dtype.name for a in arrays) == ["int64", "int64"]
-    assert all(a.shape == (300,) for a in arrays)
-    eval_tape = Tape(record=False)
-    eval_tape.pair_product(z, *_pair_ids())
-    assert eval_tape.nodes == []
-
-
-def test_pair_product_checks_its_indices_as_gather_rows_does():
-    z = Tensor(np.ones((4, 3)))
     for u, v in (([0, -1], [1, 2]), ([0, 1], [2, 4])):
-        with pytest.raises(IndexError):
-            Tape().pair_product(z, np.array(u), np.array(v))
+        for tape in (Tape(), Tape(record=False)):
+            with pytest.raises(IndexError):
+                tape.pair_blocks(z, np.array(u), np.array(v), [w], block)
     with pytest.raises(ValueError, match="1-D"):
-        Tape().pair_product(z, np.array([[0, 1]]), np.array([[1, 2]]))
-    assert Tape().pair_product(z, np.empty(0), np.empty(0)).shape == (0, 3)
+        Tape().pair_blocks(z, np.array([[0, 1]]), np.array([[1, 2]]), [w], block)
