@@ -68,7 +68,6 @@ def _op_cases(rng: np.random.Generator) -> dict[str, tuple[list[Tensor], Callabl
         "add_row_broadcast": ([a, row], lambda t, x, y: t.add(x, y)),
         "hadamard": ([a, c], lambda t, x, y: t.hadamard(x, y)),
         "scalar_mul": ([a, scalar], lambda t, x, s: t.scalar_mul(x, s)),
-        "row_dot": ([a, c], lambda t, x, y: t.row_dot(x, y)),
         "gather_rows": ([a], lambda t, x: t.gather_rows(x, idx)),
         "pair_blocks": ([spmm_in, _p(rng.standard_normal((3, 1))), scalar],
                         lambda t, x, w, b: t.pair_blocks(x, pair_u, pair_v, [w, b], pair_block)),
@@ -259,26 +258,29 @@ def model_gradient_check(conv: str = "gcn", seed: int = 0,
     return finite_difference_check(model.params(), loss)
 
 
-# (pairs, mlp_layers, decoder_residual) of decoder_block_deviation's cases
-DECODER_BLOCK_CASES = tuple(itertools.product((1, BLOCK - 1, BLOCK, 2 * BLOCK + 7),
-                                              (0, 3), (True, False)))
+# (pairs, decoder, mlp_layers, decoder_residual) of decoder_block_deviation's
+# cases; the dot decoder reads neither of the last two, so it runs once
+DECODER_BLOCK_CASES = tuple(case for case in itertools.product(
+    (1, BLOCK - 1, BLOCK, 2 * BLOCK + 7), ("dot", "mlp"), (0, 3), (True, False))
+    if case[1] == "mlp" or case[2:] == (0, True))
 
 
-def decoder_block_deviation(pairs: int, mlp_layers: int, residual: bool) -> float:
-    """Max relative deviation of ``train.pair_loss``, the MLP decoder's loss
-    in blocks of ``BLOCK`` pairs, from the one-block composition
+def decoder_block_deviation(pairs: int, decoder: str, mlp_layers: int,
+                            residual: bool) -> float:
+    """Max relative deviation of ``train.pair_loss``, the decoder's loss in
+    blocks of ``BLOCK`` pairs, from the one-block composition
     ``bce_loss(decode(z, pairs))``, in float64 at dropout 0.
 
-    Compares the loss and the gradients of z and of every decoder weight,
+    Compares the loss and the gradients of z and the trained decoder weights,
     each relative to its largest magnitude, for random weights, embeddings
     and pairs on 40 nodes of width 8, a quarter of the pairs positive.
     """
     rng = np.random.default_rng(pairs)
     n = 40
-    cfg = ModelConfig(hidden_dim=8, mlp_layers=mlp_layers, decoder_residual=residual,
-                      dropout=0.0, dtype="float64")
+    cfg = ModelConfig(hidden_dim=8, decoder=decoder, mlp_layers=mlp_layers,
+                      decoder_residual=residual, dropout=0.0, dtype="float64")
     model = GAEModel(_feature_graph(rng, n, p=0.2), cfg, seed=0)
-    weights = model.decoder_weights()
+    weights = [w for w in model.decoder_weights() if w.tracked]
     for w in weights:
         w.value = rng.standard_normal(w.shape) / np.sqrt(w.shape[0])
     z0 = rng.standard_normal((n, cfg.hidden_dim))
@@ -387,7 +389,7 @@ def verify(graphs: int) -> int:
     check("decoder blocks equal one block", dev <= 1e-12,
           f"max rel dev {dev:.2e} of the loss and the z and decoder gradients "
           f"(<= 1e-12), float64, dropout 0, 1/{BLOCK - 1}/{BLOCK}/{2 * BLOCK + 7} "
-          "pairs, 0 and 3 layers, residual on/off")
+          "pairs, the dot decoder and the MLP's 0 and 3 layers, residual on/off")
     dev = unrolled_encoder_deviation()
     check("unrolled encoder identity", dev <= 1e-12,
           f"max |dz| {dev:.2e} against the layer-wise loop (<= 1e-12), "

@@ -182,7 +182,10 @@ def cmd_grid(args) -> int:
             cfg = cfg.replace(input_mode="learnable-orthogonal")
         variants, stem, label, prefix = ABLATION_AXES[args.axis], "ablation", "variant", ""
     else:
-        values = [int(v) for v in args.values.split(",") if v.strip()]
+        try:
+            values = [int(v) for v in args.values.split(",") if v.strip()]
+        except ValueError:
+            raise ValueError(f"--values must be integers, got {args.values!r}") from None
         if not values:
             raise ValueError("sweep needs a non-empty comma-separated value list")
         variants = [(str(v), {args.axis: v}) for v in values]

@@ -127,17 +127,14 @@ def preset(name: str) -> ModelConfig:
 
 
 def _coerce(field: dataclasses.Field, raw: str):
-    if field.type in ("bool", bool):
-        if raw.lower() in ("1", "true", "yes", "on"):
-            return True
-        if raw.lower() in ("0", "false", "no", "off"):
-            return False
-        raise ValueError(f"cannot parse {raw!r} as bool for {field.name}")
-    if field.type in ("int", int):
-        return int(raw)
-    if field.type in ("float", float):
-        return float(raw)
-    return raw
+    """``raw`` as the field's type; a value that does not parse names the key."""
+    kind = getattr(field.type, "__name__", field.type)  # a type, or its name
+    if kind == "bool" and raw.lower() in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+        return raw.lower() in ("1", "true", "yes", "on")
+    try:
+        return {"int": int, "float": float, "str": str}[kind](raw)
+    except (KeyError, ValueError):
+        raise ValueError(f"cannot parse {raw!r} as {kind} for {field.name}") from None
 
 
 def apply_overrides(cfg: ModelConfig, spec: str) -> ModelConfig:

@@ -229,20 +229,6 @@ class Tape:
 
         return self._emit(val, (x, s), bwd)
 
-    def row_dot(self, a: Tensor, b: Tensor) -> Tensor:
-        """Per-row dot product: (m,d),(m,d) -> (m,1)."""
-        if a.shape != b.shape:
-            raise ValueError(f"row_dot shape mismatch {a.shape} . {b.shape}")
-        val = np.sum(a.value * b.value, axis=1, keepdims=True)
-
-        def bwd(up):
-            if a.tracked:
-                _accumulate(a, up * b.value)
-            if b.tracked:
-                _accumulate(b, up * a.value)
-
-        return self._emit(val, (a, b), bwd)
-
     def gather_rows(self, x: Tensor, idx: np.ndarray) -> Tensor:
         idx = np.asarray(idx, dtype=np.int64)
         if idx.ndim != 1:

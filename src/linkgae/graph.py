@@ -315,7 +315,10 @@ class EdgeSplit:
 
         Each list is read as given, never reshaped: ``validate`` checks its
         shape and the rest, against ``metric`` if given, naming the file."""
-        blob = json.loads(Path(path).read_text())
+        try:
+            blob = json.loads(Path(path).read_text())
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"split file {path}: not valid JSON ({exc})") from None
 
         def get(obj, key: str, where: str):
             if not isinstance(obj, dict) or key not in obj:

@@ -6,9 +6,9 @@ name. The encoder stacks GCN/SAGE/GIN convolutions without inter-layer
 activations by default and adds the layer-0 representation back after
 every layer (initial residual). On raw features a linear GCN/SAGE encoder
 is computed as propagated features times one product of its weights
-(``GAEModel._encode_propagated``). The decoder scores node pairs either by
-dot product or with a residual MLP over the Hadamard product of the
-endpoint embeddings. ``score_edges`` encodes only the rows its pairs'
+(``GAEModel._encode_propagated``). The decoder is a residual MLP over the
+Hadamard product of the endpoint embeddings; the dot decoder is its head
+alone, frozen at ones. ``score_edges`` encodes only the rows its pairs'
 endpoints depend on (``encode`` with ``nodes``).
 """
 
@@ -87,8 +87,9 @@ class GAEModel:
     ``tensors`` maps each parameter's name to it, in the order the seeded
     rng draws them: ``input.table`` (a constant for fixed-orthogonal) or
     ``input.w_proj``, then ``enc.<l>.<name>`` for ``CONV_PARAMS[conv]``,
-    then ``dec.<l>.w``, ``dec.<l>.b`` and ``dec.head.w``, ``dec.head.b``.
-    Raw mode keeps its node features as the constant ``features``.
+    then ``dec.<l>.w``, ``dec.<l>.b`` and ``dec.head.w``, ``dec.head.b`` (for
+    the dot decoder no layers, and a head of constants, ones and 0). Raw mode
+    keeps its node features as the constant ``features``.
     """
 
     def __init__(self, g: Graph, cfg: ModelConfig, seed: int | np.random.Generator = 0):
@@ -118,12 +119,13 @@ class GAEModel:
                 value = (np.zeros((1, 1) if name == "eps" else (1, d), dtype=dtype)
                          if name[0] in "eb" else orthogonal_rows(d, d, rng, dtype))
                 t[f"enc.{l}.{name}"] = Tensor(value, param=True)
-        if cfg.decoder == "mlp":
-            for l in range(cfg.mlp_layers):
-                t[f"dec.{l}.w"] = Tensor(orthogonal_rows(d, d, rng, dtype), param=True)
-                t[f"dec.{l}.b"] = Tensor(np.zeros((1, d), dtype=dtype), param=True)
-            t["dec.head.w"] = Tensor(_glorot(d, 1, rng, dtype), param=True)
-            t["dec.head.b"] = Tensor(np.zeros((1, 1), dtype=dtype), param=True)
+        mlp = cfg.decoder == "mlp"
+        for l in range(cfg.mlp_layers if mlp else 0):
+            t[f"dec.{l}.w"] = Tensor(orthogonal_rows(d, d, rng, dtype), param=True)
+            t[f"dec.{l}.b"] = Tensor(np.zeros((1, d), dtype=dtype), param=True)
+        head = _glorot(d, 1, rng, dtype) if mlp else np.ones((d, 1), dtype=dtype)
+        t["dec.head.w"] = Tensor(head, param=mlp)
+        t["dec.head.b"] = Tensor(np.zeros((1, 1), dtype=dtype), param=mlp)
         self.tensors = t
 
     def params(self) -> list[Tensor]:
@@ -254,23 +256,20 @@ class GAEModel:
         """Logits for ``edges``, without dropout (see ``train.pair_loss``)."""
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         zu, zv = tape.gather_rows(z, edges[:, 0]), tape.gather_rows(z, edges[:, 1])
-        if self.cfg.decoder == "dot":
-            return tape.row_dot(zu, zv)
         return self.decode_mlp(tape, tape.hadamard(zu, zv), self.decoder_weights())
 
     def decoder_weights(self) -> list[Tensor]:
-        """The MLP decoder's ``dec.*`` tensors, in ``tensors`` order."""
+        """The decoder's ``dec.*`` tensors, in ``tensors`` order."""
         return [t for name, t in self.tensors.items() if name.startswith("dec.")]
 
     def decode_mlp(self, tape: Tape, h0: Tensor, weights: list[Tensor],
                    rng: np.random.Generator | None = None) -> Tensor:
-        """The MLP decoder's logits from its Hadamard input ``h0``, with
-        ``weights`` in ``decoder_weights`` order; dropout runs only when
-        given an ``rng``."""
-        cfg = self.cfg
-        h, res = h0, h0 if cfg.decoder_residual else None
-        for l in range(cfg.mlp_layers):
-            h = tape.dense_block(h, weights[2 * l], weights[2 * l + 1], res, cfg.dropout, rng)
+        """The decoder's logits from its Hadamard input ``h0``, with
+        ``weights`` in ``decoder_weights`` order: one layer per ``dec.<l>``
+        pair, then the head; dropout runs only when given an ``rng``."""
+        h, res = h0, h0 if self.cfg.decoder_residual else None
+        for w, b in zip(weights[:-2:2], weights[1:-2:2]):
+            h = tape.dense_block(h, w, b, res, self.cfg.dropout, rng)
         return tape.add(tape.matmul(h, weights[-2]), weights[-1])
 
     def embed(self, ops: MessageOperators) -> np.ndarray:

@@ -63,8 +63,12 @@ def test_loop_settings_below_one_exit_2(key, capsys):
     ("metric=hits@0", "hits@0"), ("input_mode=onehot", "input_mode"),
     ("conv=gat", "conv"), ("decoder=bilinear", "decoder"), ("dtype=float16", "dtype"),
     ("lr=nan", "lr must be"), ("lr=-0.01", "lr must be"), ("lr=inf", "lr must be"),
+    ("hidden_dim=abc", "cannot parse 'abc' as int for hidden_dim"),
+    ("hidden_dim=1.5", "cannot parse '1.5' as int for hidden_dim"),
+    ("lr=", "cannot parse '' as float for lr"),
+    ("mask_input=maybe", "cannot parse 'maybe' as bool for mask_input"),
 ], ids=["metric", "input_mode", "conv", "decoder", "dtype", "lr-nan", "lr-negative",
-        "lr-inf"])
+        "lr-inf", "int-word", "int-fraction", "float-empty", "bool-word"])
 def test_hits_at_zero_exits_2_before_training(override, named, capsys, monkeypatch,
                                               tmp_path):
     from linkgae import train
@@ -258,6 +262,14 @@ def test_sweep_invalid_value_exits_2_before_any_output(capsys, tmp_path):
               "--seeds", "1", "--set", FAST, "--out-dir", str(tmp_path)])
     assert rc == 2
     assert "mpnn_layers and hidden_dim must be >= 1" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_sweep_unparsable_value_exits_2_naming_the_flag(capsys, tmp_path):
+    rc = run(["sweep", "--dataset", TINY, "--axis", "hidden_dim", "--values", "8,x",
+              "--seeds", "1", "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert "--values must be integers, got '8,x'" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 
 
@@ -474,6 +486,17 @@ def test_split_file_of_the_wrong_layout_exits_2_naming_it(edit, named, tmp_path,
               "--out-dir", str(runs)])
     assert rc == 2
     assert f"split file {path}: {named}" in capsys.readouterr().err
+    assert not runs.exists()
+
+
+def test_truncated_split_file_exits_2_naming_it(tmp_path, capsys):
+    path = tmp_path / "split.json"
+    path.write_text('{"train": [[0, 1]],')
+    runs = tmp_path / "runs"
+    rc = run(["train", "--dataset", TINY, "--split-file", str(path), "--set", FAST,
+              "--out-dir", str(runs)])
+    assert rc == 2
+    assert f"split file {path}: not valid JSON" in capsys.readouterr().err
     assert not runs.exists()
 
 

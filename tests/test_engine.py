@@ -20,13 +20,6 @@ def test_bce_logit_zero_label_one_is_ln2():
     assert abs(loss.item() - np.log(2.0)) < 1e-12
 
 
-def test_row_dot_hand_value():
-    tape = Tape()
-    out = tape.row_dot(Tensor([[1.0, 2.0]]), Tensor([[3.0, 4.0]]))
-    assert out.value.shape == (1, 1)
-    assert out.item() == 11.0
-
-
 def test_bce_matches_naive_formula():
     # loss == -[y ln s(x) + (1-y) ln(1-s(x))] within 1e-10 for |x| <= 30;
     # the textbook formula is evaluated in 50-digit arithmetic since plain
@@ -56,11 +49,12 @@ def test_backward_sum_gives_all_ones():
 
 
 def test_backward_bce_linear_model_at_zero_weights():
-    # loss = bce(w . x, 1) at w = 0 has gradient -x/2
+    # loss = bce(w . x, 1) at w = 0 has gradient -x/2; w . x is taken as the
+    # dot decoder takes it, (w * x) @ 1
     x = np.array([[1.5, -2.0, 0.5]])
     w = Tensor(np.zeros((1, 3)), param=True)
     tape = Tape()
-    logit = tape.row_dot(w, Tensor(x))
+    logit = tape.matmul(tape.hadamard(w, Tensor(x)), Tensor(np.ones((3, 1))))
     loss = tape.bce_with_logits(logit, Tensor([[1.0]]))
     tape.backward(loss)
     assert np.allclose(w.grad, -x / 2.0, atol=1e-12)

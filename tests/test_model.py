@@ -68,13 +68,15 @@ def test_tensors_are_drawn_in_table_order(mode, conv, decoder, rng):
         for l in range(2):
             want[f"dec.{l}.w"] = orthogonal_rows(d, d, draw)
             want[f"dec.{l}.b"] = np.zeros((1, d))
-        want["dec.head.w"] = _glorot(d, 1, draw, np.float64)
-        want["dec.head.b"] = np.zeros((1, 1))
+    # the dot decoder is the head alone, frozen at ones, and draws nothing
+    want["dec.head.w"] = _glorot(d, 1, draw, np.float64) if decoder == "mlp" else np.ones((d, 1))
+    want["dec.head.b"] = np.zeros((1, 1))
     assert list(model.tensors) == list(want)
     for name, t in model.tensors.items():
         assert t.dtype == np.float32, name
         assert np.array_equal(t.value, want[name].astype(np.float32)), name
     frozen = ["input.table"] if mode == "fixed-orthogonal" else []
+    frozen += ["dec.head.w", "dec.head.b"] if decoder == "dot" else []
     assert list(model.named_params()) == [k for k in want if k not in frozen]
     assert [id(p) for p in model.params()] == [id(model.tensors[k])
                                                for k in model.named_params()]
@@ -395,6 +397,18 @@ def test_dot_decoder_unit_and_orthogonal_pairs():
     model = GAEModel(p3(), small_cfg(decoder="dot", hidden_dim=2))
     logits = model.decode(Tape(record=False), z, np.array([[0, 1], [0, 2]]))
     assert np.allclose(logits.value[:, 0], [1.0, 0.0])
+
+
+@pytest.mark.parametrize("dtype, tol", [("float32", 1e-5), ("float64", 1e-12)])
+def test_dot_decoder_scores_are_endpoint_dot_products(dtype, tol, rng):
+    g = random_graph(rng, n_min=8, n_max=12)
+    model = GAEModel(g, small_cfg(decoder="dot", dtype=dtype), seed=0)
+    ops = MessageOperators.build(g, "gcn", model.cfg.np_dtype)
+    z = model.embed(ops)
+    edges = rng.integers(0, g.num_nodes, (2 * BLOCK + 7, 2))
+    want = np.sum(z[edges[:, 0]] * z[edges[:, 1]], axis=1)
+    assert np.allclose(model.score_pairs(z, edges), want, rtol=tol, atol=tol)
+    assert np.allclose(model.score_edges(ops, edges), want, rtol=tol, atol=tol)
 
 
 def test_mlp_decoder_zero_head_gives_chance_probability():

@@ -389,9 +389,25 @@ def test_train_epoch_decodes_positives_then_negatives_once(monkeypatch):
     assert np.array_equal(decoded[0], np.concatenate([batch, negs]))
 
 
-@pytest.mark.parametrize("pairs,layers,residual", DECODER_BLOCK_CASES)
-def test_blocked_decoder_loss_equals_one_block(pairs, layers, residual):
-    assert decoder_block_deviation(pairs, layers, residual) <= 1e-12
+@pytest.mark.parametrize("pairs,decoder,layers,residual", DECODER_BLOCK_CASES,
+                         ids=[f"{p}-{l}-{r}" if d == "mlp" else f"{p}-dot"
+                              for p, d, l, r in DECODER_BLOCK_CASES])
+def test_blocked_decoder_loss_equals_one_block(pairs, decoder, layers, residual):
+    assert decoder_block_deviation(pairs, decoder, layers, residual) <= 1e-12
+
+
+@pytest.mark.parametrize("decoder", ["dot", "mlp"])
+def test_a_training_step_records_one_pair_blocks_node(decoder):
+    # either decoder's loss, the bce included, runs inside one pair_blocks node
+    g, split = trainable_graph(seed=11)
+    cfg = tiny_cfg(decoder=decoder, dropout=0.3)
+    model, g_train, ops, _, rng = _epoch_setup(g, split, cfg)
+    negs = train.sample_negatives(g_train, 48, rng)
+    tape = Tape()
+    loss = train.batch_loss(tape, model, ops, split.train_pos[:16], negs, rng)
+    names = [node.backward.__qualname__.split(".")[1] for node in tape.nodes]
+    assert names.count("pair_blocks") == 1 and names[-1] == "pair_blocks"
+    assert tape.nodes[-1].out is loss and "bce_with_logits" not in names
 
 
 def test_blocked_decoder_loss_draws_the_words_of_one_block():
@@ -409,14 +425,15 @@ def test_blocked_decoder_loss_draws_the_words_of_one_block():
     assert rngs[0].integers(2 ** 62) == rngs[1].integers(2 ** 62)
 
 
-def _step_transient_bytes(batch_size: int) -> int:
+def _step_transient_bytes(batch_size: int, decoder: str) -> int:
     """tracemalloc's peak above the start of one recorded training step
-    (loss, then backward) on the benchmark's train-masked model."""
+    (loss, then backward) on the benchmark's train-masked model, with
+    ``decoder``."""
     g = structure_dominant_graph(2000, seed=1)
     split = random_split(g, seed=1)
     cfg = ModelConfig(input_mode="learnable-orthogonal", conv="gcn", mpnn_layers=2,
-                      hidden_dim=128, mlp_layers=3, dropout=0.2, mask_input=True,
-                      batch_size=batch_size)
+                      hidden_dim=128, decoder=decoder, mlp_layers=3, dropout=0.2,
+                      mask_input=True, batch_size=batch_size)
     model = GAEModel(g, cfg, seed=1)
     g_train = Graph.from_edges(g.num_nodes, split.train_pos)
     rng = np.random.default_rng(1)
@@ -434,11 +451,13 @@ def _step_transient_bytes(batch_size: int) -> int:
 
 
 def test_step_memory_does_not_scale_with_the_decoder_activations():
-    # 4 x 1,024 against 4 x 4,096 pairs of width 128: each extra pair may add
-    # at most three float32 rows of width d (the blocked decoder keeps one)
-    small, large = _step_transient_bytes(1024), _step_transient_bytes(4096)
-    per_pair = (large - small) / ((4096 - 1024) * 4)
-    assert per_pair <= 3 * 128 * 4, f"{per_pair:.0f} bytes per extra pair"
+    # 4 x 1,024 against 4 x 4,096 pairs of width 128: for either decoder each
+    # extra pair may add at most three float32 rows of width d (the blocked
+    # decoder loss keeps one)
+    for decoder in ("dot", "mlp"):
+        small, large = (_step_transient_bytes(b, decoder) for b in (1024, 4096))
+        per_pair = (large - small) / ((4096 - 1024) * 4)
+        assert per_pair <= 3 * 128 * 4, f"{decoder}: {per_pair:.0f} bytes per extra pair"
 
 
 def nan_loss(tape, logits, positives):
